@@ -2,7 +2,8 @@
 
 Subcommands: boundary, compress, downset-check, popdiff, verify, example,
 enumerate-downsets.  Exit codes: 0 on success/PASS, 1 when a verification
-finds violations (or a checked inequality fails), 2 on usage errors.
+finds violations (or a checked inequality fails), 2 on usage errors, 3 on an
+internal error (a failed example self-check or disagreeing kernels).
 """
 
 from __future__ import annotations
@@ -229,9 +230,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, IndexError, json.JSONDecodeError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, IndexError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ integer lattice as a downset.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .groups import (
     Element,
     GeneratorSeq,
@@ -102,6 +104,7 @@ class CompressionContext:
         self.kcoords = tuple(kcoord_per_axis)
         self._shifters = tuple(spec.shift_table(s) for s in S)
         self._full = (1 << spec.order) - 1
+        self._array_prefixes: list | None = None
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -135,6 +138,35 @@ class CompressionContext:
         """|{a in mask : a + s_j not in mask}| for one generator."""
         shifted = self._shifters[j].apply(mask)
         return (shifted & ~mask).bit_count()
+
+    # -- array kernels: many uint32 masks at once, groups of at most 32 elements --
+
+    def _coset_prefix_arrays(self, i: int) -> list[tuple[np.uint32, np.ndarray]]:
+        """(coset mask, prefix masks by count) for every <s_i>-coset, as uint32."""
+        if self._array_prefixes is None:
+            if self.spec.order > 32:
+                raise ValueError("array kernels need a group of at most 32 elements")
+            self._array_prefixes = [
+                [(np.uint32(pref[-1]), np.array(pref, dtype=np.uint32)) for pref in prefixes]
+                for prefixes in self.prefixes
+            ]
+        return self._array_prefixes[i]
+
+    def compress_array(self, masks: np.ndarray, i: int) -> np.ndarray:
+        """``compress_mask`` on every entry: count per coset, then gather that prefix."""
+        out = np.zeros_like(masks)
+        for coset_mask, prefix in self._coset_prefix_arrays(i):
+            out |= prefix[np.bitwise_count(masks & coset_mask)]
+        return out
+
+    def is_compressed_array(self, masks: np.ndarray, i: int) -> np.ndarray:
+        """``is_compressed_mask`` on every entry, as a bool array."""
+        outside = np.uint32(self._full & ~self.sub_masks[i])
+        return (masks & outside & ~self._shifters[i].apply_array(masks)) == 0
+
+    def boundary_count_array(self, masks: np.ndarray, j: int) -> np.ndarray:
+        """``boundary_count_mask`` on every entry, as a uint8 array."""
+        return np.bitwise_count(self._shifters[j].apply_array(masks) & ~masks)
 
     def weight_of_index(self, r: int) -> int:
         return sum(1 for kc in self.kcoords if kc[r] != 0)

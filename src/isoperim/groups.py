@@ -64,11 +64,12 @@ class Shifter:
     This is the hot path of boundary counting.
     """
 
-    __slots__ = ("perm", "_tables")
+    __slots__ = ("perm", "_tables", "_array_tables")
 
     def __init__(self, perm: Sequence[int], use_tables: bool):
         self.perm = perm
         self._tables: list[list[int]] | None = None
+        self._array_tables: np.ndarray | None = None
         if use_tables:
             nbits = len(perm)
             tables = []
@@ -95,6 +96,22 @@ class Shifter:
                 out |= tables[i][b]
             mask >>= 8
             i += 1
+        return out
+
+    def apply_array(self, masks: np.ndarray) -> np.ndarray:
+        """Images of many masks at once: a uint32 array in, a uint32 array out.
+
+        The same byte tables as ``apply``, read as one numpy gather per byte,
+        so it needs tables over at most 32 elements.
+        """
+        tables = self._array_tables
+        if tables is None:
+            if self._tables is None or len(self.perm) > 32:
+                raise ValueError("array translation needs byte tables over at most 32 elements")
+            tables = self._array_tables = np.array(self._tables, dtype=np.uint32)
+        out = tables[0][masks & 0xFF]
+        for i in range(1, len(tables)):
+            out |= tables[i][(masks >> (8 * i)) & 0xFF]
         return out
 
 
@@ -504,6 +521,18 @@ def min_nonzero_order(spec: GroupSpec) -> int:
     if spec.order <= 1:
         raise ValueError("the trivial group has no non-zero element")
     return min(_least_prime_factor(m) for m in spec.moduli)
+
+
+def min_generators(spec: GroupSpec) -> int:
+    """d(G), the fewest elements that generate the group: its largest p-rank."""
+    ranks: dict[int, int] = {}
+    for m in spec.moduli:
+        while m > 1:
+            p = _least_prime_factor(m)
+            ranks[p] = ranks.get(p, 0) + 1
+            while m % p == 0:
+                m //= p
+    return max(ranks.values())
 
 
 def _require_subgroup(H: GroupSet) -> None:

@@ -7,8 +7,9 @@ the plan (including the seed) up to the recorded wall time, and every witness
 carries enough data to be re-verified from its serialization alone.
 
 Exhaustive subset sweeps walk the group-subset bitmasks in binary-reflected
-Gray-code order, so each step toggles one element and updates the
-per-generator boundary counts in O(|S|).
+Gray-code order.  The runners take the whole family in numpy chunks
+(``gray_sweep_chunks``); ``gray_subset_sweep`` walks the same order one mask
+at a time and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import prod
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .boundary import (
     Verdict,
@@ -38,6 +41,7 @@ from .groups import (
     GroupSpec,
     is_independent,
     iter_bits,
+    min_generators,
     min_nonzero_order,
     order_of,
     span,
@@ -72,6 +76,10 @@ THEOREM_IDS = (
 EXHAUSTIVE_ORDER_LIMIT = 16  # subset space of at most 2**16 masks
 ALL_SUBSETS_ORDER_LIMIT = 10
 DOWNSET_CELL_BUDGET = 1 << 20
+GENERATOR_DRAW_LIMIT = 1 << 16  # rejection-sampling attempts per generator sequence
+
+# masks per numpy chunk of a whole-family sweep
+_SWEEP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,6 +245,30 @@ def gray_subset_sweep(
         yield mask, size, dtot, d
 
 
+def gray_sweep_chunks(
+    spec: GroupSpec, gens: GeneratorSeq
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (masks, sizes, boundaries) for every non-empty subset, one chunk at a time.
+
+    The masks are ``t ^ (t >> 1)`` for t = 1 .. 2**|G| - 1, the order of
+    ``gray_subset_sweep``, as uint32 arrays of at most ``_SWEEP_CHUNK``
+    entries.  ``boundaries[k]`` holds each mask's boundary count along
+    ``gens[k]``, taken with that generator's byte tables as a numpy gather.
+    """
+    order = spec.order
+    if order > 24:
+        raise ValueError(f"subset sweep over 2**{order} masks is not feasible")
+    shifters = [spec.shift_table(s) for s in gens]
+    end = 1 << order
+    for start in range(1, end, _SWEEP_CHUNK):
+        t = np.arange(start, min(start + _SWEEP_CHUNK, end), dtype=np.uint32)
+        masks = t ^ (t >> 1)
+        bounds = np.empty((len(gens), len(masks)), dtype=np.uint8)
+        for k, sh in enumerate(shifters):
+            bounds[k] = np.bitwise_count(sh.apply_array(masks) & ~masks)
+        yield masks, np.bitwise_count(masks), bounds
+
+
 def enumerate_downsets(box: Sequence[int]) -> Iterator[LatticeSet]:
     """Every downset inside the box [0, box[0]] x ... x [0, box[-1]], once each.
 
@@ -286,10 +318,18 @@ def _downset_chains(dims: tuple[int, ...]) -> Iterator[frozenset]:
 def draw_generating_seq(
     spec: GroupSpec, rng: SplitMix64, count: int, independent: bool = False
 ) -> GeneratorSeq:
-    """Rejection-sample ``count`` distinct elements until they generate the group."""
+    """Rejection-sample ``count`` distinct elements until they generate the group.
+
+    Raises ValueError for a count below the fewest generators of the group,
+    and after ``GENERATOR_DRAW_LIMIT`` rejected attempts (say, an independent
+    count that no sequence reaches).
+    """
     if count < 1:
         raise ValueError("generator count must be positive")
-    while True:
+    need = min_generators(spec)
+    if count < need:
+        raise ValueError(f"{count} elements cannot generate {spec!r}, which needs {need}")
+    for _ in range(GENERATOR_DRAW_LIMIT):
         idxs = [rng.below(spec.order) for _ in range(count)]
         if len(set(idxs)) != count:
             continue
@@ -299,6 +339,8 @@ def draw_generating_seq(
         if independent and not is_independent(seq):
             continue
         return seq
+    kind = "independent generating" if independent else "generating"
+    raise ValueError(f"no {kind} sequence of {count} elements of {spec!r} in {GENERATOR_DRAW_LIMIT} draws")
 
 
 def _generator_seqs(plan: VerifyPlan, spec: GroupSpec, rng: SplitMix64) -> list[tuple[str, GeneratorSeq]]:
@@ -343,10 +385,8 @@ def _boundary_witness(
     mask: int,
     size: int,
     boundary: int,
-    lhs: int,
-    rhs: int,
-    gamma: Fraction | None,
 ) -> dict:
+    lhs, rhs, gamma = _check_sides(check, spec, gens, size, boundary)
     return {
         "kind": kind,
         "check": check,
@@ -429,6 +469,18 @@ def _validate_boundary_hypotheses(check: str, spec: GroupSpec, gens: GeneratorSe
             raise ValueError("cosetdecomp needs a non-empty sequence")
 
 
+# codes of the exhaustive verdict table, in the precedence the runners apply
+_PASS, _VIOLATION, _VACUOUS, _EQUALITY = range(4)
+
+
+def _verdict_code(v: Verdict) -> int:
+    if not v.ok:
+        return _VIOLATION
+    if v.vacuous:
+        return _VACUOUS
+    return _EQUALITY if v.equality else _PASS
+
+
 def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
     if plan.moduli is None:
         raise ValueError(f"theorem {plan.theorem} needs a group")
@@ -444,28 +496,26 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
         _validate_boundary_hypotheses(check, spec, gens)
         classify = _classifier_for(check, spec, gens)
         cases = vac = eqs = vios = 0
+
+        def witness(kind: str, mask: int, size: int, dtot: int) -> dict:
+            return _boundary_witness(kind, check, spec, gens, label, mask, size, dtot)
+
         if plan.mode == "exhaustive":
             n = len(gens)
-            table: list[list[Verdict] | None] = [None] * (spec.order + 1)
+            table = np.zeros((spec.order + 1, n * spec.order + 1), dtype=np.uint8)
             for size in range(1, spec.order + 1):
-                table[size] = [classify(size, b) for b in range(n * size + 1)]
-            for mask, size, dtot, _ in gray_subset_sweep(spec, gens):
-                cases += 1
-                v = table[size][dtot]
-                if not v.ok:
+                table[size, : n * size + 1] = [_verdict_code(classify(size, b)) for b in range(n * size + 1)]
+            for masks, sizes, bounds in gray_sweep_chunks(spec, gens):
+                dtots = bounds.sum(axis=0, dtype=np.uint16)
+                codes = table[sizes, dtots]
+                cases += len(masks)
+                vac += int(np.count_nonzero(codes == _VACUOUS))
+                for r in np.flatnonzero(codes == _VIOLATION).tolist():
                     vios += 1
-                    lhs, rhs, g = _check_sides(check, spec, gens, size, dtot)
-                    report.violations.append(
-                        _boundary_witness("violation", check, spec, gens, label, mask, size, dtot, lhs, rhs, g)
-                    )
-                elif v.vacuous:
-                    vac += 1
-                elif v.equality:
+                    report.violations.append(witness("violation", int(masks[r]), int(sizes[r]), int(dtots[r])))
+                for r in np.flatnonzero(codes == _EQUALITY).tolist():
                     eqs += 1
-                    lhs, rhs, g = _check_sides(check, spec, gens, size, dtot)
-                    report.equality_witnesses.append(
-                        _boundary_witness("equality", check, spec, gens, label, mask, size, dtot, lhs, rhs, g)
-                    )
+                    report.equality_witnesses.append(witness("equality", int(masks[r]), int(sizes[r]), int(dtots[r])))
         elif plan.mode == "sample":
             shifters = [spec.shift_table(s) for s in gens]
             for _ in range(plan.sample_size):
@@ -475,21 +525,15 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
                 for sh in shifters:
                     dtot += (sh.apply(mask) & ~mask).bit_count()
                 cases += 1
-                v = classify(size, dtot)
-                if not v.ok:
+                code = _verdict_code(classify(size, dtot))
+                if code == _VIOLATION:
                     vios += 1
-                    lhs, rhs, g = _check_sides(check, spec, gens, size, dtot)
-                    report.violations.append(
-                        _boundary_witness("violation", check, spec, gens, label, mask, size, dtot, lhs, rhs, g)
-                    )
-                elif v.vacuous:
+                    report.violations.append(witness("violation", mask, size, dtot))
+                elif code == _VACUOUS:
                     vac += 1
-                elif v.equality:
+                elif code == _EQUALITY:
                     eqs += 1
-                    lhs, rhs, g = _check_sides(check, spec, gens, size, dtot)
-                    report.equality_witnesses.append(
-                        _boundary_witness("equality", check, spec, gens, label, mask, size, dtot, lhs, rhs, g)
-                    )
+                    report.equality_witnesses.append(witness("equality", mask, size, dtot))
         else:
             raise ValueError(f"unknown mode {plan.mode!r}")
         report.cases_checked += cases
@@ -497,6 +541,74 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
         report.classes.append(
             {"label": label, "cases": cases, "vacuous": vac, "violations": vios, "equalities": eqs}
         )
+
+
+def _claims_problems(ctx: CompressionContext, mask: int, size: int, d: Sequence[int]) -> list[str]:
+    """Every compression claim that fails on one mask, in a fixed order.
+
+    ``d`` holds the mask's boundary count along each generator.  This is the
+    exact per-mask check: sample plans run it on every case, exhaustive plans
+    on the masks that ``_claims_hold`` flags.
+    """
+    axes = range(len(ctx))
+    compressed_axes = [i for i in axes if ctx.is_compressed_mask(mask, i)]
+    step: list[int] = []
+    bad: list[str] = []
+    for i in axes:
+        ci = ctx.compress_mask(mask, i)
+        step.append(ci)
+        if ci.bit_count() != size:
+            bad.append(f"cardinality changed along {i}")
+        if not ctx.is_compressed_mask(ci, i):
+            bad.append(f"output not compressed along its own axis {i}")
+        for j in axes:
+            if ctx.boundary_count_mask(ci, j) > d[j]:
+                bad.append(f"boundary grew for generator {j} after compressing along {i}")
+    for i in compressed_axes:
+        for j in axes:
+            if not ctx.is_compressed_mask(step[j], i):
+                bad.append(f"compression along {j} destroyed compressedness along {i}")
+    full = step[0]
+    for i in range(1, len(ctx)):
+        full = ctx.compress_mask(full, i)
+    for i in axes:
+        if not ctx.is_compressed_mask(full, i):
+            bad.append(f"single pass left the set non-compressed along {i}")
+    return bad
+
+
+def _claims_hold(ctx: CompressionContext, masks: np.ndarray, sizes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per mask, True iff ``_claims_problems`` would find nothing; the array form of its checks."""
+    axes = range(len(ctx))
+    good = np.ones(len(masks), dtype=bool)
+    step = [ctx.compress_array(masks, i) for i in axes]
+    for i in axes:
+        good &= np.bitwise_count(step[i]) == sizes
+        good &= ctx.is_compressed_array(step[i], i)
+        for j in axes:
+            good &= ctx.boundary_count_array(step[i], j) <= bounds[j]
+    for i in axes:
+        was_compressed = ctx.is_compressed_array(masks, i)
+        for j in axes:
+            good &= ~was_compressed | ctx.is_compressed_array(step[j], i)
+    full = step[0]
+    for i in range(1, len(ctx)):
+        full = ctx.compress_array(full, i)
+    for i in axes:
+        good &= ctx.is_compressed_array(full, i)
+    return good
+
+
+def _claims_witness(spec: GroupSpec, gens: GeneratorSeq, label: str, mask: int, problems: list[str]) -> dict:
+    return {
+        "kind": "violation",
+        "check": "claims-compression",
+        "label": label,
+        "group": spec.to_obj(),
+        "generators": [list(s.coords) for s in gens],
+        "set": _coords_of_mask(spec, mask),
+        "problems": problems,
+    }
 
 
 def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
@@ -508,60 +620,33 @@ def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
     if plan.mode == "exhaustive" and spec.order > EXHAUSTIVE_ORDER_LIMIT and not plan.allow_large:
         raise ValueError(f"exhaustive sweep over |G| = {spec.order} requires allow_large")
 
-    def masks_with_counts(gens: GeneratorSeq, ctx: CompressionContext):
+    for label, gens in gensets:
+        ctx = CompressionContext(gens)
+        cases = vios = 0
         if plan.mode == "exhaustive":
-            yield from gray_subset_sweep(spec, gens)
+            for masks, sizes, bounds in gray_sweep_chunks(spec, gens):
+                cases += len(masks)
+                for r in np.flatnonzero(~_claims_hold(ctx, masks, sizes, bounds)).tolist():
+                    mask = int(masks[r])
+                    bad = _claims_problems(ctx, mask, int(sizes[r]), bounds[:, r].tolist())
+                    if not bad:
+                        raise RuntimeError(
+                            f"compression kernels disagree: the array checks flag {_coords_of_mask(spec, mask)}"
+                            " but the per-mask checks pass it"
+                        )
+                    vios += len(bad)
+                    report.violations.append(_claims_witness(spec, gens, label, mask, bad))
         elif plan.mode == "sample":
             for _ in range(plan.sample_size):
                 mask = rng.nonempty_mask(spec.order)
                 d = [ctx.boundary_count_mask(mask, j) for j in range(len(gens))]
-                yield mask, mask.bit_count(), sum(d), d
+                cases += 1
+                bad = _claims_problems(ctx, mask, mask.bit_count(), d)
+                if bad:
+                    vios += len(bad)
+                    report.violations.append(_claims_witness(spec, gens, label, mask, bad))
         else:
             raise ValueError(f"unknown mode {plan.mode!r}")
-
-    for label, gens in gensets:
-        ctx = CompressionContext(gens)
-        n = len(gens)
-        axes = range(n)
-        cases = vios = 0
-        for mask, size, _, d in masks_with_counts(gens, ctx):
-            cases += 1
-            compressed_axes = [i for i in axes if ctx.is_compressed_mask(mask, i)]
-            step: list[int] = []
-            bad: list[str] = []
-            for i in axes:
-                ci = ctx.compress_mask(mask, i)
-                step.append(ci)
-                if ci.bit_count() != size:
-                    bad.append(f"cardinality changed along {i}")
-                if not ctx.is_compressed_mask(ci, i):
-                    bad.append(f"output not compressed along its own axis {i}")
-                for j in axes:
-                    if ctx.boundary_count_mask(ci, j) > d[j]:
-                        bad.append(f"boundary grew for generator {j} after compressing along {i}")
-            for i in compressed_axes:
-                for j in axes:
-                    if not ctx.is_compressed_mask(step[j], i):
-                        bad.append(f"compression along {j} destroyed compressedness along {i}")
-            full = step[0]
-            for i in range(1, n):
-                full = ctx.compress_mask(full, i)
-            for i in axes:
-                if not ctx.is_compressed_mask(full, i):
-                    bad.append(f"single pass left the set non-compressed along {i}")
-            if bad:
-                vios += len(bad)
-                report.violations.append(
-                    {
-                        "kind": "violation",
-                        "check": "claims-compression",
-                        "label": label,
-                        "group": spec.to_obj(),
-                        "generators": [list(s.coords) for s in gens],
-                        "set": _coords_of_mask(spec, mask),
-                        "problems": bad,
-                    }
-                )
         report.cases_checked += cases
         report.classes.append(
             {"label": label, "cases": cases, "vacuous": 0, "violations": vios, "equalities": 0}

@@ -159,3 +159,25 @@ def test_enumerate_downsets_command(capsys):
 def test_usage_errors_exit_two(capsys):
     assert main(["boundary"]) == 2  # missing required flags
     assert main(["downset-check", "--set", "nope.json", "--check", "avg-weight"]) == 2
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch, tmp_path):
+    from isoperim import CompressionContext, harness
+
+    # the array compression kernel flags sets that the per-mask check passes
+    monkeypatch.setattr(CompressionContext, "compress_array", lambda self, masks, i: masks.copy())
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"theorem": "claims-compression", "group": {"moduli": [2, 2]}}))
+    assert main(["verify", "--plan", str(plan)]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+    # a worked example whose computed statistics miss its closed form
+    def broken_box(m, t, n):
+        inst = harness._example_box(m, t, n)
+        expected = dict(inst.expected, boundary=inst.expected["boundary"] + 1)
+        return harness._self_check(harness.ExampleInstance(
+            inst.example_id, inst.params, inst.spec, inst.subset, inst.gens, expected, inst.computed))
+
+    monkeypatch.setitem(harness._EXAMPLES, "ex3", broken_box)
+    assert main(["example", "--id", "ex3", "--params", "m=5,t=2,n=3"]) == 3
+    assert "self-check failed" in capsys.readouterr().err

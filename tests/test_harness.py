@@ -324,3 +324,42 @@ def test_example_validation():
         build_example("ex2", m=2, n=5, k=2)  # k does not divide n
     with pytest.raises(ValueError):
         build_example("ex3", m=3, t=3, n=2)  # t must stay below m
+
+
+def test_draw_generating_seq_rejects_too_few_generators():
+    # C2^2 needs two generators; one draw could never generate it
+    with pytest.raises(ValueError, match="needs 2"):
+        draw_generating_seq(GroupSpec([2, 2]), SplitMix64(0), 1)
+    with pytest.raises(ValueError, match="needs 3"):
+        draw_generating_seq(GroupSpec([2, 4, 6]), SplitMix64(0), 2)
+    # C2 x C3 is cyclic, so one element can generate it
+    assert len(draw_generating_seq(GroupSpec([2, 3]), SplitMix64(0), 1)) == 1
+
+
+def test_draw_generating_seq_gives_up_after_the_attempt_limit():
+    # a 4-element sequence of C2^2 is the whole group in some order, and its
+    # element orders multiply to 8 > 4, so none is independent
+    with pytest.raises(ValueError, match="no independent generating sequence"):
+        draw_generating_seq(GroupSpec([2, 2]), SplitMix64(0), 4, independent=True)
+    # more distinct elements than the group has
+    with pytest.raises(ValueError, match="draws"):
+        draw_generating_seq(GroupSpec([2, 2]), SplitMix64(0), 5)
+
+
+def test_draw_generating_seq_consumes_the_rng_like_plain_rejection():
+    # the checks added in front of the loop draw nothing, so seeded plans keep their sets
+    def plain(spec, rng, count, independent):
+        while True:
+            idxs = [rng.below(spec.order) for _ in range(count)]
+            if len(set(idxs)) != count:
+                continue
+            seq = GeneratorSeq(spec, tuple(spec.element_at(r) for r in idxs))
+            if len(span(seq)) == spec.order and (not independent or is_independent(seq)):
+                return seq
+
+    for moduli, count, independent in (((2, 8), 2, True), ((4, 4), 3, False), ((2, 2, 2, 2), 4, False)):
+        spec = GroupSpec(moduli)
+        a, b = SplitMix64(17), SplitMix64(17)
+        for _ in range(5):
+            assert draw_generating_seq(spec, a, count, independent) == plain(spec, b, count, independent)
+        assert a.next_u64() == b.next_u64()
