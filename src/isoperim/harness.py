@@ -10,6 +10,11 @@ Exhaustive subset sweeps walk the group-subset bitmasks in binary-reflected
 Gray-code order.  The runners take the whole family in numpy chunks
 (``gray_sweep_chunks``); ``gray_subset_sweep`` walks the same order one mask
 at a time and serves as its oracle.
+
+Each check has one verdict function, shared by its runner and
+``replay_witness`` (``boundary.BOUNDARY_THEOREMS`` for the edge-boundary
+bounds); replay also requires the recorded sides and problems to match.
+Plans reject unknown keys, and a sample plan must draw at least one case.
 """
 
 from __future__ import annotations
@@ -23,17 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .boundary import (
-    Verdict,
-    boundary_counts,
-    classify_independence_bound,
-    classify_log_lower_bound,
-    classify_small_exponent,
-    classify_subgroup_bound,
-    edge_boundary,
-    gamma_star,
-    subgroup_rank,
-)
+from .boundary import BOUNDARY_THEOREMS, Verdict, boundary_counts, edge_boundary
 from .compression import CompressionContext
 from .groups import (
     GeneratorSeq,
@@ -43,7 +38,6 @@ from .groups import (
     iter_bits,
     min_generators,
     min_nonzero_order,
-    order_of,
     span,
 )
 from .lattice import (
@@ -53,25 +47,8 @@ from .lattice import (
     projection_sizes,
     weight_stats,
 )
-from .popular import (
-    classify_popular_dim,
-    classify_popular_dim_exp3,
-    diff_spectrum,
-    dim_independent,
-    popular_diffs,
-)
+from .popular import diff_spectrum, dim_independent, popular_diffs, popular_dim_verdict
 from .prng import SplitMix64
-
-THEOREM_IDS = (
-    "exp234",
-    "cosetdecomp",
-    "generalcase",
-    "avweight",
-    "lwplus",
-    "repa",
-    "claims-compression",
-    "bl-bound",
-)
 
 EXHAUSTIVE_ORDER_LIMIT = 16  # subset space of at most 2**16 masks
 ALL_SUBSETS_ORDER_LIMIT = 10
@@ -80,6 +57,15 @@ GENERATOR_DRAW_LIMIT = 1 << 16  # rejection-sampling attempts per generator sequ
 
 # masks per numpy chunk of a whole-family sweep
 _SWEEP_CHUNK = 1 << 16
+
+
+_PLAN_KEYS = ("theorem", "group", "mode", "sample_size", "seed", "generators", "gammas", "box", "allow_large", "dim_cap")
+
+
+def _reject_unknown_keys(what: str, obj: dict, known: Sequence[str]) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; expected some of {list(known)}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +96,7 @@ class GeneratorPolicy:
 
     @classmethod
     def from_obj(cls, obj: dict) -> GeneratorPolicy:
+        _reject_unknown_keys("generator policy", obj, ("policy", "count", "sets", "independent", "elements"))
         kind = obj["policy"]
         return cls(
             kind=kind,
@@ -135,6 +122,12 @@ class VerifyPlan:
     allow_large: bool = False
     dim_cap: int = 24
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("exhaustive", "sample"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "sample" and self.sample_size < 1:
+            raise ValueError(f"a sample plan needs sample_size >= 1, got {self.sample_size}")
+
     def to_obj(self) -> dict:
         obj: dict = {"theorem": self.theorem, "mode": self.mode}
         if self.moduli is not None:
@@ -152,6 +145,7 @@ class VerifyPlan:
 
     @classmethod
     def from_obj(cls, obj: dict) -> VerifyPlan:
+        _reject_unknown_keys("plan", obj, _PLAN_KEYS)
         return cls(
             theorem=obj["theorem"],
             moduli=tuple(obj["group"]["moduli"]) if "group" in obj else None,
@@ -382,11 +376,11 @@ def _boundary_witness(
     spec: GroupSpec,
     gens: GeneratorSeq,
     label: str,
+    params: tuple[int, int],
     mask: int,
     size: int,
     boundary: int,
 ) -> dict:
-    lhs, rhs, gamma = _check_sides(check, spec, gens, size, boundary)
     return {
         "kind": kind,
         "check": check,
@@ -396,77 +390,36 @@ def _boundary_witness(
         "set": _coords_of_mask(spec, mask),
         "size": size,
         "boundary": boundary,
-        "gamma_star": None if gamma is None else str(gamma),
-        "lhs": str(lhs),
-        "rhs": str(rhs),
+        **_sides_fields(check, params, size, boundary),
     }
 
 
-def _check_sides(check: str, spec: GroupSpec, gens: GeneratorSeq, size: int, boundary: int) -> tuple[int, int, Fraction | None]:
-    """(lhs, rhs, slack) of the cleared inequality, for witness records."""
-    if check == "bl-bound":
-        return spec.exponent**boundary * size**size, spec.order**size, None
-    if check == "exp234":
-        g = gamma_star(boundary, spec.rank, size)
-        if g <= 0:
-            return size, 1, g
-        return size**g.denominator, spec.order**g.numerator, g
-    if check == "generalcase":
-        n = len(gens)
-        d = min(order_of(s) for s in gens)
-        g = gamma_star(boundary, n, size)
-        if g <= 0:
-            return size, 1, g
-        e = Fraction(d - 1, d) * g * n
-        return size**e.denominator, 4**e.numerator, g
-    if check == "cosetdecomp":
-        H = span(gens)
-        h_order = len(H)
-        if h_order == 1:
-            return size, 1, None
-        h_rank = subgroup_rank(h_order, spec.exponent)
-        g = gamma_star(boundary, h_rank, size)
-        if g <= 0:
-            return size, 1, g
-        return size**g.denominator, h_order**g.numerator, g
-    raise ValueError(f"no side computation for check {check!r}")
+def _sides_fields(check: str, params: tuple[int, int], size: int, boundary: int) -> dict:
+    """The serialized (lhs, rhs, slack) of the cleared inequality, for witness records."""
+    lhs, rhs, gamma = BOUNDARY_THEOREMS[check].sides(*params, size, boundary)
+    return {"gamma_star": None if gamma is None else str(gamma), "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def _file_witness(report: VerifyReport, witness: dict) -> None:
+    """Add a witness to the report's list for its kind: a violation, or else an equality case."""
+    (report.violations if witness["kind"] == "violation" else report.equality_witnesses).append(witness)
+
+
+def _add_single_class(report: VerifyReport, label: str, cases: int) -> None:
+    """Close a plan that runs as one case class: every witness of the report is its own."""
+    report.cases_checked += cases
+    report.classes.append(
+        {
+            "label": label,
+            "cases": cases,
+            "vacuous": 0,
+            "violations": len(report.violations),
+            "equalities": len(report.equality_witnesses),
+        }
+    )
 
 
 # -- theorem runners -----------------------------------------------------------
-
-
-def _classifier_for(check: str, spec: GroupSpec, gens: GeneratorSeq) -> Callable[[int, int], Verdict]:
-    if check == "bl-bound":
-        m, order = spec.exponent, spec.order
-        return lambda size, b: classify_log_lower_bound(m, order, size, b)
-    if check == "exp234":
-        order, rank = spec.order, spec.rank
-        return lambda size, b: classify_small_exponent(order, rank, size, b)
-    if check == "generalcase":
-        d = min(order_of(s) for s in gens)
-        n = len(gens)
-        return lambda size, b: classify_independence_bound(d, n, size, b)
-    if check == "cosetdecomp":
-        h_order = len(span(gens))
-        h_rank = subgroup_rank(h_order, spec.exponent)
-        return lambda size, b: classify_subgroup_bound(h_order, h_rank, size, b)
-    raise ValueError(f"unknown boundary check {check!r}")
-
-
-def _validate_boundary_hypotheses(check: str, spec: GroupSpec, gens: GeneratorSeq) -> None:
-    if check in ("bl-bound", "exp234"):
-        if not spec.is_homocyclic or spec.exponent not in (2, 3, 4):
-            raise ValueError(f"{check} needs a homocyclic group of exponent 2, 3 or 4")
-        if len(span(gens)) != spec.order:
-            raise ValueError(f"{check} needs a generating sequence")
-    elif check == "generalcase":
-        if not is_independent(gens):
-            raise ValueError("generalcase needs an independent sequence")
-    elif check == "cosetdecomp":
-        if spec.exponent not in (2, 3):
-            raise ValueError("cosetdecomp needs group exponent 2 or 3")
-        if len(gens) == 0:
-            raise ValueError("cosetdecomp needs a non-empty sequence")
 
 
 # codes of the exhaustive verdict table, in the precedence the runners apply
@@ -481,42 +434,40 @@ def _verdict_code(v: Verdict) -> int:
     return _EQUALITY if v.equality else _PASS
 
 
-def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
+def _group_of(plan: VerifyPlan) -> tuple[GroupSpec, SplitMix64]:
+    """The plan's group, checked against the exhaustive size cap, and its seeded generator."""
     if plan.moduli is None:
-        raise ValueError(f"theorem {plan.theorem} needs a group")
+        raise ValueError(f"{plan.theorem} needs a group")
     spec = GroupSpec(plan.moduli)
-    rng = SplitMix64(plan.seed)
-    gensets = _generator_seqs(plan, spec, rng)
-    check = plan.theorem
     if plan.mode == "exhaustive" and spec.order > EXHAUSTIVE_ORDER_LIMIT and not plan.allow_large:
-        raise ValueError(
-            f"exhaustive sweep over |G| = {spec.order} requires allow_large"
-        )
-    for label, gens in gensets:
-        _validate_boundary_hypotheses(check, spec, gens)
-        classify = _classifier_for(check, spec, gens)
-        cases = vac = eqs = vios = 0
+        raise ValueError(f"exhaustive sweep over |G| = {spec.order} requires allow_large")
+    return spec, SplitMix64(plan.seed)
 
-        def witness(kind: str, mask: int, size: int, dtot: int) -> dict:
-            return _boundary_witness(kind, check, spec, gens, label, mask, size, dtot)
+
+def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
+    spec, rng = _group_of(plan)
+    check = plan.theorem
+    theorem = BOUNDARY_THEOREMS[check]
+    for label, gens in _generator_seqs(plan, spec, rng):
+        params = theorem.params(spec, gens)
+        tally = [0] * 4  # cases per verdict code
+
+        def record(code: int, mask: int, size: int, dtot: int) -> None:
+            kind = "violation" if code == _VIOLATION else "equality"
+            _file_witness(report, _boundary_witness(kind, check, spec, gens, label, params, mask, size, dtot))
 
         if plan.mode == "exhaustive":
             n = len(gens)
             table = np.zeros((spec.order + 1, n * spec.order + 1), dtype=np.uint8)
             for size in range(1, spec.order + 1):
-                table[size, : n * size + 1] = [_verdict_code(classify(size, b)) for b in range(n * size + 1)]
+                table[size, : n * size + 1] = [_verdict_code(theorem.verdict(params, size, b)) for b in range(n * size + 1)]
             for masks, sizes, bounds in gray_sweep_chunks(spec, gens):
                 dtots = bounds.sum(axis=0, dtype=np.uint16)
                 codes = table[sizes, dtots]
-                cases += len(masks)
-                vac += int(np.count_nonzero(codes == _VACUOUS))
-                for r in np.flatnonzero(codes == _VIOLATION).tolist():
-                    vios += 1
-                    report.violations.append(witness("violation", int(masks[r]), int(sizes[r]), int(dtots[r])))
-                for r in np.flatnonzero(codes == _EQUALITY).tolist():
-                    eqs += 1
-                    report.equality_witnesses.append(witness("equality", int(masks[r]), int(sizes[r]), int(dtots[r])))
-        elif plan.mode == "sample":
+                tally = [t + c for t, c in zip(tally, np.bincount(codes, minlength=4).tolist())]
+                for r in np.flatnonzero((codes == _VIOLATION) | (codes == _EQUALITY)).tolist():
+                    record(int(codes[r]), int(masks[r]), int(sizes[r]), int(dtots[r]))
+        else:
             shifters = [spec.shift_table(s) for s in gens]
             for _ in range(plan.sample_size):
                 mask = rng.nonempty_mask(spec.order)
@@ -524,18 +475,12 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
                 dtot = 0
                 for sh in shifters:
                     dtot += (sh.apply(mask) & ~mask).bit_count()
-                cases += 1
-                code = _verdict_code(classify(size, dtot))
-                if code == _VIOLATION:
-                    vios += 1
-                    report.violations.append(witness("violation", mask, size, dtot))
-                elif code == _VACUOUS:
-                    vac += 1
-                elif code == _EQUALITY:
-                    eqs += 1
-                    report.equality_witnesses.append(witness("equality", mask, size, dtot))
-        else:
-            raise ValueError(f"unknown mode {plan.mode!r}")
+                code = _verdict_code(theorem.verdict(params, size, dtot))
+                tally[code] += 1
+                if code in (_VIOLATION, _EQUALITY):
+                    record(code, mask, size, dtot)
+        cases = sum(tally)
+        _, vios, vac, eqs = tally
         report.cases_checked += cases
         report.vacuous += vac
         report.classes.append(
@@ -612,15 +557,8 @@ def _claims_witness(spec: GroupSpec, gens: GeneratorSeq, label: str, mask: int, 
 
 
 def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
-    if plan.moduli is None:
-        raise ValueError("claims-compression needs a group")
-    spec = GroupSpec(plan.moduli)
-    rng = SplitMix64(plan.seed)
-    gensets = _generator_seqs(plan, spec, rng)
-    if plan.mode == "exhaustive" and spec.order > EXHAUSTIVE_ORDER_LIMIT and not plan.allow_large:
-        raise ValueError(f"exhaustive sweep over |G| = {spec.order} requires allow_large")
-
-    for label, gens in gensets:
+    spec, rng = _group_of(plan)
+    for label, gens in _generator_seqs(plan, spec, rng):
         ctx = CompressionContext(gens)
         cases = vios = 0
         if plan.mode == "exhaustive":
@@ -636,7 +574,7 @@ def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
                         )
                     vios += len(bad)
                     report.violations.append(_claims_witness(spec, gens, label, mask, bad))
-        elif plan.mode == "sample":
+        else:
             for _ in range(plan.sample_size):
                 mask = rng.nonempty_mask(spec.order)
                 d = [ctx.boundary_count_mask(mask, j) for j in range(len(gens))]
@@ -645,8 +583,6 @@ def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
                 if bad:
                     vios += len(bad)
                     report.violations.append(_claims_witness(spec, gens, label, mask, bad))
-        else:
-            raise ValueError(f"unknown mode {plan.mode!r}")
         report.cases_checked += cases
         report.classes.append(
             {"label": label, "cases": cases, "vacuous": 0, "violations": vios, "equalities": 0}
@@ -654,23 +590,15 @@ def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
 
 
 def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
-    if plan.moduli is None:
-        raise ValueError("repa needs a group")
+    spec, rng = _group_of(plan)
     if not plan.gammas:
         raise ValueError("repa needs at least one gamma threshold")
-    spec = GroupSpec(plan.moduli)
-    rng = SplitMix64(plan.seed)
     if plan.mode == "sample":
         masks = [rng.nonempty_mask(spec.order) for _ in range(plan.sample_size)]
-    elif plan.mode == "exhaustive":
-        if spec.order > EXHAUSTIVE_ORDER_LIMIT and not plan.allow_large:
-            raise ValueError(f"exhaustive sweep over |G| = {spec.order} requires allow_large")
-        masks = list(range(1, 1 << spec.order))
     else:
-        raise ValueError(f"unknown mode {plan.mode!r}")
-    exp3 = spec.exponent == 3
-    p = min_nonzero_order(spec)
-    cases = vios = eqs = 0
+        masks = list(range(1, 1 << spec.order))
+    variant = "exp3" if spec.exponent == 3 else f"general-p{min_nonzero_order(spec)}"
+    cases = 0
     for mask in masks:
         A = GroupSet(spec, mask)
         spectrum = diff_spectrum(A)
@@ -678,7 +606,7 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
         for gamma in plan.gammas:
             P = spectrum.popular(gamma)
             dim = dim_independent(P, cap=plan.dim_cap).value
-            v = classify_popular_dim_exp3(gamma, size, dim) if exp3 else classify_popular_dim(p, gamma, size, dim)
+            v = popular_dim_verdict(spec, gamma, size, dim)
             cases += 1
             if not v.ok or v.equality:
                 witness = {
@@ -690,59 +618,43 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
                     "size": size,
                     "popular_size": len(P),
                     "dim_independent": dim,
-                    "variant": "exp3" if exp3 else f"general-p{p}",
+                    "variant": variant,
                 }
-                if not v.ok:
-                    vios += 1
-                    report.violations.append(witness)
-                else:
-                    eqs += 1
-                    report.equality_witnesses.append(witness)
-    report.cases_checked += cases
-    report.classes.append(
-        {"label": "sampled-sets", "cases": cases, "vacuous": 0, "violations": vios, "equalities": eqs}
-    )
+                _file_witness(report, witness)
+    _add_single_class(report, "sampled-sets", cases)
 
 
 def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
     if not plan.box:
         raise ValueError("avweight needs a bounding box")
     total = 0
-    cases = vios = eqs = 0
+    cases = 0
     for A in enumerate_downsets(plan.box):
         total += 1
         if len(A) == 0:
             continue
         stats = weight_stats(A)
         cases += 1
-        if not stats.bound_holds:
-            vios += 1
-            report.violations.append(
-                {
-                    "kind": "violation",
-                    "check": "avweight",
-                    "set": A.to_obj(),
-                    "size": stats.size,
-                    "total_weight": stats.total_weight,
-                }
-            )
-        elif stats.is_equality:
-            eqs += 1
-            report.equality_witnesses.append(
-                {
-                    "kind": "equality",
-                    "check": "avweight",
-                    "set": A.to_obj(),
-                    "size": stats.size,
-                    "total_weight": stats.total_weight,
-                }
-            )
-    report.cases_checked += cases
+        if not stats.bound_holds or stats.is_equality:
+            witness = {
+                "kind": "violation" if not stats.bound_holds else "equality",
+                "check": "avweight",
+                "set": A.to_obj(),
+                "size": stats.size,
+                "total_weight": stats.total_weight,
+            }
+            _file_witness(report, witness)
     report.details["downsets_enumerated"] = total
     report.details["downsets_checked"] = cases
-    report.classes.append(
-        {"label": "box-" + "x".join(map(str, plan.box)), "cases": cases, "vacuous": 0, "violations": vios, "equalities": eqs}
-    )
+    _add_single_class(report, "box-" + "x".join(map(str, plan.box)), cases)
+
+
+def _projection_verdicts(dim: int, size: int, proj: Sequence[int]) -> dict[str, Verdict]:
+    """The lwplus and Loomis-Whitney verdicts on raw projection counts, in report order."""
+    return {
+        "lwplus": Verdict(lw_plus_feasible(dim, size, proj), False, 4 ** (dim * size) == 4 ** sum(proj) * size**size),
+        "loomis-whitney": Verdict(loomis_whitney_feasible(size, proj), False, prod(proj) == size ** (dim - 1)),
+    }
 
 
 def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
@@ -753,7 +665,7 @@ def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
     dims = tuple(int(b) for b in plan.box)
     cells = list(_cartesian(*[range(b + 1) for b in dims]))
     rng = SplitMix64(plan.seed)
-    cases = vios = eqs = 0
+    cases = 0
     for _ in range(plan.sample_size):
         mask = rng.nonempty_mask(len(cells))
         pts = [cells[i] for i in iter_bits(mask)]
@@ -761,29 +673,30 @@ def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
         size = len(A)
         proj = projection_sizes(A)
         cases += 1
-        lw_ok = lw_plus_feasible(A.dim, size, proj)
-        lw_eq = 4 ** (A.dim * size) == 4 ** sum(proj) * size**size
-        lo_ok = loomis_whitney_feasible(size, proj)
-        lo_eq = prod(proj) == size ** (A.dim - 1)
-        for check, ok, eq in (("lwplus", lw_ok, lw_eq), ("loomis-whitney", lo_ok, lo_eq)):
-            if not ok or eq:
+        for check, v in _projection_verdicts(A.dim, size, proj).items():
+            if not v.ok or v.equality:
                 witness = {
-                    "kind": "violation" if not ok else "equality",
+                    "kind": "violation" if not v.ok else "equality",
                     "check": check,
                     "set": A.to_obj(),
                     "size": size,
                     "projections": list(proj),
                 }
-                if not ok:
-                    vios += 1
-                    report.violations.append(witness)
-                else:
-                    eqs += 1
-                    report.equality_witnesses.append(witness)
-    report.cases_checked += cases
-    report.classes.append(
-        {"label": "box-" + "x".join(map(str, dims)), "cases": cases, "vacuous": 0, "violations": vios, "equalities": eqs}
-    )
+                _file_witness(report, witness)
+    _add_single_class(report, "box-" + "x".join(map(str, dims)), cases)
+
+
+_RUNNERS: dict[str, Callable[[VerifyPlan, VerifyReport], None]] = {
+    "exp234": _run_boundary_theorem,
+    "cosetdecomp": _run_boundary_theorem,
+    "generalcase": _run_boundary_theorem,
+    "avweight": _run_avweight,
+    "lwplus": _run_lwplus,
+    "repa": _run_repa,
+    "claims-compression": _run_claims,
+    "bl-bound": _run_boundary_theorem,
+}
+THEOREM_IDS = tuple(_RUNNERS)
 
 
 def run_verify(plan: VerifyPlan) -> VerifyReport:
@@ -792,16 +705,7 @@ def run_verify(plan: VerifyPlan) -> VerifyReport:
         raise ValueError(f"unknown theorem id {plan.theorem!r}; expected one of {THEOREM_IDS}")
     report = VerifyReport(theorem=plan.theorem)
     t0 = time.perf_counter()
-    if plan.theorem in ("exp234", "bl-bound", "generalcase", "cosetdecomp"):
-        _run_boundary_theorem(plan, report)
-    elif plan.theorem == "claims-compression":
-        _run_claims(plan, report)
-    elif plan.theorem == "repa":
-        _run_repa(plan, report)
-    elif plan.theorem == "avweight":
-        _run_avweight(plan, report)
-    elif plan.theorem == "lwplus":
-        _run_lwplus(plan, report)
+    _RUNNERS[plan.theorem](plan, report)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -810,20 +714,24 @@ def run_verify(plan: VerifyPlan) -> VerifyReport:
 
 
 def replay_witness(witness: dict) -> bool:
-    """Recompute a serialized witness from scratch and confirm its verdict."""
+    """Recompute a serialized witness from scratch and confirm its verdict.
+
+    A boundary witness must also carry the recomputed sides and slack, and a
+    compression witness the recomputed list of problems.
+    """
     check = witness["check"]
-    kind = witness["kind"]
-    if check in ("bl-bound", "exp234", "generalcase", "cosetdecomp"):
+    if check in BOUNDARY_THEOREMS:
         spec = GroupSpec.from_obj(witness["group"])
         gens = GeneratorSeq(spec, tuple(spec.element(c) for c in witness["generators"]))
         A = GroupSet.from_elements(spec, (spec.element(c) for c in witness["set"]))
         size = len(A)
         boundary = sum(boundary_counts(A, gens))
-        if size != witness["size"] or boundary != witness["boundary"]:
+        params = BOUNDARY_THEOREMS[check].params(spec, gens)
+        recorded = {"size": size, "boundary": boundary, **_sides_fields(check, params, size, boundary)}
+        if any(witness.get(k) != v for k, v in recorded.items()):
             return False
-        v = _classifier_for(check, spec, gens)(size, boundary)
-        return (not v.ok) if kind == "violation" else v.equality
-    if check == "repa":
+        v = BOUNDARY_THEOREMS[check].verdict(params, size, boundary)
+    elif check == "repa":
         spec = GroupSpec.from_obj(witness["group"])
         A = GroupSet.from_elements(spec, (spec.element(c) for c in witness["set"]))
         gamma = Fraction(witness["gamma"])
@@ -831,46 +739,26 @@ def replay_witness(witness: dict) -> bool:
         dim = dim_independent(P, cap=max(64, len(P))).value
         if dim != witness["dim_independent"]:
             return False
-        if spec.exponent == 3:
-            v = classify_popular_dim_exp3(gamma, len(A), dim)
-        else:
-            v = classify_popular_dim(min_nonzero_order(spec), gamma, len(A), dim)
-        return (not v.ok) if kind == "violation" else v.equality
-    if check == "avweight":
+        v = popular_dim_verdict(spec, gamma, len(A), dim)
+    elif check == "avweight":
+        stats = weight_stats(LatticeSet.from_obj(witness["set"]))
+        v = Verdict(stats.bound_holds, False, stats.is_equality)
+    elif check in ("lwplus", "loomis-whitney"):
         A = LatticeSet.from_obj(witness["set"])
-        stats = weight_stats(A)
-        return (not stats.bound_holds) if kind == "violation" else stats.is_equality
-    if check in ("lwplus", "loomis-whitney"):
-        A = LatticeSet.from_obj(witness["set"])
-        proj = projection_sizes(A)
-        size = len(A)
-        if check == "lwplus":
-            ok = lw_plus_feasible(A.dim, size, proj)
-            eq = 4 ** (A.dim * size) == 4 ** sum(proj) * size**size
-        else:
-            ok = loomis_whitney_feasible(size, proj)
-            eq = prod(proj) == size ** (A.dim - 1)
-        return (not ok) if kind == "violation" else eq
-    if check == "claims-compression":
+        v = _projection_verdicts(A.dim, len(A), projection_sizes(A))[check]
+    elif check == "claims-compression":
         spec = GroupSpec.from_obj(witness["group"])
         gens = GeneratorSeq(spec, tuple(spec.element(c) for c in witness["generators"]))
         ctx = CompressionContext(gens)
         mask = GroupSet.from_elements(spec, (spec.element(c) for c in witness["set"])).mask
-        size = mask.bit_count()
-        found = False
-        for i in range(len(gens)):
-            ci = ctx.compress_mask(mask, i)
-            if ci.bit_count() != size or not ctx.is_compressed_mask(ci, i):
-                found = True
-            for j in range(len(gens)):
-                if ctx.boundary_count_mask(ci, j) > ctx.boundary_count_mask(mask, j):
-                    found = True
-                if ctx.is_compressed_mask(mask, i) and not ctx.is_compressed_mask(
-                    ctx.compress_mask(mask, j), i
-                ):
-                    found = True
-        return found == (kind == "violation")
-    raise ValueError(f"cannot replay witness for check {check!r}")
+        d = [ctx.boundary_count_mask(mask, j) for j in range(len(gens))]
+        problems = _claims_problems(ctx, mask, mask.bit_count(), d)
+        if problems != witness["problems"]:
+            return False
+        v = Verdict(not problems, False, False)
+    else:
+        raise ValueError(f"cannot replay witness for check {check!r}")
+    return (not v.ok) if witness["kind"] == "violation" else v.equality
 
 
 # -- report emission --------------------------------------------------------------

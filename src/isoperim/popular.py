@@ -215,6 +215,13 @@ def classify_popular_dim_exp3(gamma: Fraction, size: int, dim: int) -> Verdict:
     return Verdict(lhs <= rhs, False, lhs == rhs)
 
 
+def popular_dim_verdict(spec: GroupSpec, gamma: Fraction, size: int, dim: int) -> Verdict:
+    """The exponent-3 form when exp(G) = 3, else the general form with p the least non-zero order."""
+    if spec.exponent == 3:
+        return classify_popular_dim_exp3(gamma, size, dim)
+    return classify_popular_dim(min_nonzero_order(spec), gamma, size, dim)
+
+
 def popular_dim_bound_holds(A: GroupSet, gamma: Fraction, cap: int = DEFAULT_DIM_CAP) -> bool:
     """Exact verdict for the independent-dimension bound on the popular set.
 
@@ -228,7 +235,4 @@ def popular_dim_bound_holds(A: GroupSet, gamma: Fraction, cap: int = DEFAULT_DIM
         raise ValueError("the bound requires a non-empty set")
     P = popular_diffs(A, gamma)
     dim = dim_independent(P, cap=cap).value
-    if A.spec.exponent == 3:
-        return classify_popular_dim_exp3(gamma, len(A), dim).ok
-    p = min_nonzero_order(A.spec)
-    return classify_popular_dim(p, gamma, len(A), dim).ok
+    return popular_dim_verdict(A.spec, gamma, len(A), dim).ok

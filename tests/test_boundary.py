@@ -11,18 +11,23 @@ from isoperim import (
     GeneratorSeq,
     GroupSet,
     GroupSpec,
+    VerifyPlan,
+    draw_generating_seq,
     edge_boundary,
     independence_bound_holds,
     log_lower_bound_holds,
+    run_verify,
     small_exponent_bound_holds,
     span,
     subgroup_bound_holds,
 )
 from isoperim.boundary import (
+    BOUNDARY_THEOREMS,
     classify_log_lower_bound,
     classify_small_exponent,
     boundary_counts,
 )
+from isoperim.harness import GeneratorPolicy
 from isoperim.prng import SplitMix64
 
 
@@ -264,3 +269,70 @@ def test_subgroup_bound_rejects_exponent_four():
 def test_boundary_counts_spec_mismatch():
     with pytest.raises(Exception):
         boundary_counts(GroupSet.full(GroupSpec([2, 2])), GroupSpec([3, 3]).standard_basis())
+
+
+# -- the theorem registry -----------------------------------------------------------
+
+REGISTRY_GROUPS = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (4, 4), (2, 4), (2, 8)]
+HOLDS = {
+    "bl-bound": log_lower_bound_holds,
+    "exp234": small_exponent_bound_holds,
+    "generalcase": independence_bound_holds,
+    "cosetdecomp": subgroup_bound_holds,
+}
+
+
+def registry_sequences(check, spec):
+    """The standard basis, a few drawn sequences and, for cosetdecomp, spans short of G."""
+    seqs = [spec.standard_basis()]
+    for seed, extra in ((1, 0), (2, 1), (3, 1)):
+        seqs.append(draw_generating_seq(spec, SplitMix64(seed), len(spec.moduli) + extra, check == "generalcase"))
+    if check == "cosetdecomp":
+        seqs += [GeneratorSeq(spec, (spec.element_at(1),)), GeneratorSeq(spec, (spec.element_at(0),))]
+    return seqs
+
+
+@pytest.mark.parametrize("moduli", REGISTRY_GROUPS)
+@pytest.mark.parametrize("check", sorted(BOUNDARY_THEOREMS))
+def test_kernel_verdicts_agree_with_their_sides(check, moduli):
+    # ok <=> lhs >= rhs, equality <=> lhs == rhs, and the integer vacuity
+    # shortcut of the kernel <=> a slack of at most 0 in the sides
+    theorem = BOUNDARY_THEOREMS[check]
+    spec = GroupSpec(moduli)
+    cells = 0
+    for gens in registry_sequences(check, spec):
+        try:
+            params = theorem.params(spec, gens)
+        except ValueError:
+            continue  # the hypotheses exclude this sequence
+        for size in range(1, spec.order + 1):
+            for b in range(len(gens) * size + 1):
+                v = theorem.verdict(params, size, b)
+                lhs, rhs, gamma = theorem.sides(*params, size, b)
+                assert v.ok == (lhs >= rhs) and v.equality == (lhs == rhs), (gens, size, b)
+                assert v.vacuous == (gamma is not None and gamma <= 0), (gens, size, b)
+                cells += 1
+    excluded = (check in ("bl-bound", "exp234") and len(set(moduli)) > 1) or (
+        check == "cosetdecomp" and max(moduli) > 3
+    )
+    assert cells > 0 or excluded
+
+
+HYPOTHESIS_VIOLATIONS = {
+    "bl-bound": ((2, 4), ((1, 0), (0, 1))),  # not homocyclic
+    "exp234": ((2, 2), ((1, 0),)),  # does not generate
+    "generalcase": ((2, 2), ((1, 0), (0, 1), (1, 1))),  # not independent
+    "cosetdecomp": ((4, 4), ((1, 0),)),  # exponent 4
+}
+
+
+@pytest.mark.parametrize("check", sorted(HYPOTHESIS_VIOLATIONS))
+def test_hypothesis_violations_raise_from_runner_and_wrapper(check):
+    moduli, coords = HYPOTHESIS_VIOLATIONS[check]
+    plan = VerifyPlan(theorem=check, moduli=moduli, generators=GeneratorPolicy(kind="fixed-list", elements=coords))
+    with pytest.raises(ValueError):
+        run_verify(plan)
+    spec = GroupSpec(moduli)
+    gens = GeneratorSeq(spec, tuple(spec.element(c) for c in coords))
+    with pytest.raises(ValueError):
+        HOLDS[check](GroupSet.full(spec), gens)

@@ -130,6 +130,18 @@ def test_verify_command_usage_error(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [{"sample-size": 5}, {}, {"sample_size": 0}, {"sample_size": 5, "generators": {"policy": "standard-basis", "cuont": 2}}],
+)
+def test_verify_command_rejects_plans_that_would_pass_vacuously(capsys, tmp_path, extra):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"theorem": "exp234", "group": {"moduli": [2, 2, 2]}, "mode": "sample", **extra}))
+    assert main(["verify", "--plan", str(plan)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "error" in captured.err
+
+
 def test_example_command(capsys):
     rc = main(["example", "--id", "ex3", "--params", "m=5,t=2,n=3"])
     assert rc == 0

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from isoperim import (
+    CompressionContext,
     GeneratorSeq,
     GroupSet,
     GroupSpec,
@@ -363,3 +364,50 @@ def test_draw_generating_seq_consumes_the_rng_like_plain_rejection():
         for _ in range(5):
             assert draw_generating_seq(spec, a, count, independent) == plain(spec, b, count, independent)
         assert a.next_u64() == b.next_u64()
+
+
+def test_plans_reject_unknown_keys():
+    obj = VerifyPlan(theorem="exp234", moduli=(2, 2), mode="sample", sample_size=5).to_obj()
+    with pytest.raises(ValueError, match="unknown plan keys"):
+        VerifyPlan.from_obj({**obj, "sample-size": 5})
+    policy = {"policy": "random-generating", "count": 2, "sets": 1, "independant": True}
+    with pytest.raises(ValueError, match="unknown generator policy keys"):
+        VerifyPlan.from_obj({**obj, "generators": policy})
+
+
+def test_sample_plans_need_cases():
+    # a sample plan that draws nothing would pass with 0 cases
+    for obj in (
+        {"theorem": "exp234", "group": {"moduli": [2, 2]}, "mode": "sample"},
+        {"theorem": "exp234", "group": {"moduli": [2, 2]}, "mode": "sample", "sample_size": 0},
+    ):
+        with pytest.raises(ValueError, match="sample_size"):
+            VerifyPlan.from_obj(obj)
+    with pytest.raises(ValueError, match="unknown mode"):
+        VerifyPlan(theorem="exp234", moduli=(2, 2), mode="sampled", sample_size=5)
+
+
+@pytest.mark.parametrize("theorem", ["bl-bound", "exp234"])
+def test_boundary_replay_checks_the_recorded_sides(theorem):
+    report = run_verify(VerifyPlan(theorem=theorem, moduli=(2, 2, 2)))
+    w = report.equality_witnesses[-1]
+    assert replay_witness(w)
+    fields = {"lhs": str(int(w["lhs"]) + 1), "rhs": str(int(w["rhs"]) * 2)}
+    if w["gamma_star"] is not None:
+        fields["gamma_star"] = str(Fraction(w["gamma_star"]) / 2)
+    for key, value in fields.items():
+        assert not replay_witness(dict(w, **{key: value})), key
+
+
+def test_claims_replay_checks_the_recorded_problems(monkeypatch):
+    # no real plan has a violation: with compression made the identity, sets
+    # that are not compressed stay so
+    monkeypatch.setattr(CompressionContext, "compress_mask", lambda self, mask, i: mask)
+    monkeypatch.setattr(CompressionContext, "compress_array", lambda self, masks, i: masks.copy())
+    report = run_verify(VerifyPlan(theorem="claims-compression", moduli=(2, 4)))
+    assert report.violations
+    for w in report.violations:
+        assert replay_witness(json.loads(json.dumps(w)))
+    w = report.violations[0]
+    assert not replay_witness(dict(w, problems=["made up"]))
+    assert not replay_witness(dict(w, problems=w["problems"][1:]))

@@ -18,7 +18,8 @@ from isoperim import (
     gray_subset_sweep,
     run_verify,
 )
-from isoperim import harness
+from isoperim import boundary, harness
+from isoperim.boundary import BOUNDARY_THEOREMS
 from isoperim.harness import GeneratorPolicy, gray_sweep_chunks
 
 
@@ -86,25 +87,25 @@ def test_minimum_boundary_matches_harper_closed_form(n):
 def reference_boundary_report(plan: VerifyPlan) -> VerifyReport:
     """The exhaustive boundary runner written as one loop over gray_subset_sweep."""
     spec = GroupSpec(plan.moduli)
+    theorem = BOUNDARY_THEOREMS[plan.theorem]
     report = VerifyReport(theorem=plan.theorem)
     for label, gens in harness._generator_seqs(plan, spec, SplitMix64(plan.seed)):
-        harness._validate_boundary_hypotheses(plan.theorem, spec, gens)
-        classify = harness._classifier_for(plan.theorem, spec, gens)
+        params = theorem.params(spec, gens)
         cases = vac = eqs = vios = 0
         for mask, size, dtot, _ in gray_subset_sweep(spec, gens):
             cases += 1
-            v = classify(size, dtot)
+            v = theorem.verdict(params, size, dtot)
             if not v.ok:
                 vios += 1
                 report.violations.append(
-                    harness._boundary_witness("violation", plan.theorem, spec, gens, label, mask, size, dtot)
+                    harness._boundary_witness("violation", plan.theorem, spec, gens, label, params, mask, size, dtot)
                 )
             elif v.vacuous:
                 vac += 1
             elif v.equality:
                 eqs += 1
                 report.equality_witnesses.append(
-                    harness._boundary_witness("equality", plan.theorem, spec, gens, label, mask, size, dtot)
+                    harness._boundary_witness("equality", plan.theorem, spec, gens, label, params, mask, size, dtot)
                 )
         report.cases_checked += cases
         report.vacuous += vac
@@ -170,10 +171,10 @@ def test_boundary_runner_matches_reference_loop(plan):
 def test_boundary_runner_matches_reference_with_every_verdict_kind(monkeypatch, theorem):
     # the bounds hold, so no real plan reaches the violation branch; a made-up
     # verdict table reaches all four codes, across chunk edges
-    def fake_classifier(check, spec, gens):
-        return lambda size, b: Verdict(ok=(size + b) % 3 != 0, vacuous=b % 5 == 0, equality=size % 2 == 0)
+    def fake_kernel(param0, param1, size, b):
+        return Verdict(ok=(size + b) % 3 != 0, vacuous=b % 5 == 0, equality=size % 2 == 0)
 
-    monkeypatch.setattr(harness, "_classifier_for", fake_classifier)
+    monkeypatch.setattr(boundary, BOUNDARY_THEOREMS[theorem].kernel, fake_kernel)
     monkeypatch.setattr(harness, "_SWEEP_CHUNK", 100)
     plan = VerifyPlan(theorem=theorem, moduli=(2, 4) if theorem == "generalcase" else (2, 2, 2))
     report = run_verify(plan)
