@@ -6,6 +6,10 @@ stride m1*...*m_{i-1}, so ``index(g) = sum_i g_i * stride_i`` is a bijection
 onto the index range.  Subsets are stored as dense bitmasks over these
 indices, which gives O(1) membership and cheap whole-set operations; all of
 the exhaustive enumeration in this package rests on that representation.
+Translating a set by g rolls the blocks of each factor with g_i != 0 inside
+the mask (``Shifter``), so it costs a few whole-mask operations per factor
+and no per-element work; ``add_perm`` and ``translate_mask`` remain as the
+per-element reference.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 24
 MAX_ORDER_ENV = "ISOPERIM_MAX_GROUP"
-
-# Byte-wise translation tables pay off only while they fit comfortably in memory.
-_BYTE_TABLE_LIMIT = 1 << 12
 
 
 class SpecMismatchError(ValueError):
@@ -57,61 +58,54 @@ def translate_mask(mask: int, perm: Sequence[int]) -> int:
 
 
 class Shifter:
-    """Applies one fixed index permutation to set bitmasks.
+    """Translates set bitmasks by one fixed element g, x -> x + g.
 
-    For small groups the permutation is compiled into per-byte lookup tables,
-    so applying it costs O(|G|/8) table reads instead of one bit at a time.
-    This is the hot path of boundary counting.
+    Adding c = g_i in factor i rolls the blocks of stride_i bits inside every
+    period of stride_i * m_i bits: the blocks whose coordinate is below
+    m_i - c move up by c blocks, the others wrap down by m_i - c blocks.  So a
+    translation is one block roll per non-zero coordinate, two masks and two
+    shifts each (the broadword block roll, Knuth TAOCP 4A, 7.1.3), on a Python
+    int or on a uint32 array alike.  This is the hot path of boundary counting.
     """
 
-    __slots__ = ("perm", "_tables", "_array_tables")
+    __slots__ = ("spec", "g", "_rolls", "_perm")
 
-    def __init__(self, perm: Sequence[int], use_tables: bool):
-        self.perm = perm
-        self._tables: list[list[int]] | None = None
-        self._array_tables: np.ndarray | None = None
-        if use_tables:
-            nbits = len(perm)
-            tables = []
-            for base in range(0, nbits, 8):
-                width = min(8, nbits - base)
-                row = [0] * 256
-                for v in range(1, 256):
-                    lsb = v & -v
-                    k = lsb.bit_length() - 1
-                    rest = row[v ^ lsb]
-                    row[v] = rest | (1 << perm[base + k]) if k < width else rest
-                tables.append(row)
-            self._tables = tables
+    def __init__(self, spec: GroupSpec, g: Element):
+        self.spec = spec
+        self.g = g
+        full = (1 << spec.order) - 1
+        rolls = []
+        for stride, m, c in zip(spec.strides, spec.moduli, g.coords):
+            if c:
+                # one bit at the start of every period, times the staying blocks
+                keep = (full // ((1 << stride * m) - 1)) * ((1 << (m - c) * stride) - 1)
+                rolls.append((keep, full ^ keep, c * stride, (m - c) * stride))
+        self._rolls = tuple(rolls)
+        self._perm: list[int] | None = None
+
+    @property
+    def perm(self) -> list[int]:
+        """The index permutation of x -> x + g, ``GroupSpec.add_perm(g)``, built on first use."""
+        if self._perm is None:
+            self._perm = self.spec.add_perm(self.g)
+        return self._perm
 
     def apply(self, mask: int) -> int:
-        tables = self._tables
-        if tables is None:
-            return translate_mask(mask, self.perm)
-        out = 0
-        i = 0
-        while mask:
-            b = mask & 255
-            if b:
-                out |= tables[i][b]
-            mask >>= 8
-            i += 1
-        return out
+        for keep, wrap, up, down in self._rolls:
+            mask = ((mask & keep) << up) | ((mask & wrap) >> down)
+        return mask
 
     def apply_array(self, masks: np.ndarray) -> np.ndarray:
         """Images of many masks at once: a uint32 array in, a uint32 array out.
 
-        The same byte tables as ``apply``, read as one numpy gather per byte,
-        so it needs tables over at most 32 elements.
+        The same rolls as ``apply`` on every entry, so the group may have at
+        most 32 elements.
         """
-        tables = self._array_tables
-        if tables is None:
-            if self._tables is None or len(self.perm) > 32:
-                raise ValueError("array translation needs byte tables over at most 32 elements")
-            tables = self._array_tables = np.array(self._tables, dtype=np.uint32)
-        out = tables[0][masks & 0xFF]
-        for i in range(1, len(tables)):
-            out |= tables[i][(masks >> (8 * i)) & 0xFF]
+        if self.spec.order > 32:
+            raise ValueError("array translation needs a group of at most 32 elements")
+        out = np.asarray(masks, dtype=np.uint32)
+        for keep, wrap, up, down in self._rolls:
+            out = ((out & np.uint32(keep)) << np.uint32(up)) | ((out & np.uint32(wrap)) >> np.uint32(down))
         return out
 
 
@@ -233,7 +227,7 @@ class GroupSpec:
         key = self.index_of(g)
         shifter = self._shift_cache.get(key)
         if shifter is None:
-            shifter = Shifter(self.add_perm(g), self.order <= _BYTE_TABLE_LIMIT)
+            shifter = Shifter(self, g)
             self._shift_cache[key] = shifter
         return shifter
 
@@ -480,21 +474,22 @@ def order_of(g: Element) -> int:
 
 
 def span(gens: GeneratorSeq) -> GroupSet:
-    """The subgroup generated by the sequence, via breadth-first closure."""
+    """The subgroup generated by the sequence, as a closure by doubling.
+
+    H + {0, s, ..., (2**j - 1)s} doubles its run of multiples of s with one
+    translation by 2**j * s, so ``order_of(s).bit_length()`` steps take H to
+    H + <s>; a step stops early once 2**j * s is zero.
+    """
     spec = gens.spec
-    seen = 1  # the zero element has index 0
-    frontier = [0]
-    perms = [spec.add_perm(s) for s in gens]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for p in perms:
-                q = p[r]
-                if not (seen >> q) & 1:
-                    seen |= 1 << q
-                    nxt.append(q)
-        frontier = nxt
-    return GroupSet(spec, seen)
+    H = 1  # the zero element has index 0
+    for s in gens:
+        step = s
+        for _ in range(order_of(s).bit_length()):
+            if step.is_zero:
+                break
+            H |= spec.shift_table(step).apply(H)
+            step = step + step
+    return GroupSet(spec, H)
 
 
 def is_independent(gens: GeneratorSeq) -> bool:
@@ -540,9 +535,9 @@ def _require_subgroup(H: GroupSet) -> None:
     if not H.has_index(0):
         raise NotASubgroupError("subgroup must contain 0")
     for r in H.indices():
-        perm = spec.add_perm(spec.element_at(r))
-        if translate_mask(H.mask, perm) != H.mask:
-            raise NotASubgroupError(f"set is not closed under adding {spec.element_at(r)!r}")
+        g = spec.element_at(r)
+        if spec.shift_table(g).apply(H.mask) != H.mask:
+            raise NotASubgroupError(f"set is not closed under adding {g!r}")
 
 
 def coset_decompose(A: GroupSet, H: GroupSet) -> list[tuple[Element, GroupSet]]:

@@ -146,6 +146,8 @@ class VerifyPlan:
     @classmethod
     def from_obj(cls, obj: dict) -> VerifyPlan:
         _reject_unknown_keys("plan", obj, _PLAN_KEYS)
+        if "group" in obj:
+            _reject_unknown_keys("group", obj["group"], ("moduli",))
         return cls(
             theorem=obj["theorem"],
             moduli=tuple(obj["group"]["moduli"]) if "group" in obj else None,
@@ -247,7 +249,8 @@ def gray_sweep_chunks(
     The masks are ``t ^ (t >> 1)`` for t = 1 .. 2**|G| - 1, the order of
     ``gray_subset_sweep``, as uint32 arrays of at most ``_SWEEP_CHUNK``
     entries.  ``boundaries[k]`` holds each mask's boundary count along
-    ``gens[k]``, taken with that generator's byte tables as a numpy gather.
+    ``gens[k]``, taken with that generator's block rolls (``Shifter.apply_array``)
+    on the whole chunk.
     """
     order = spec.order
     if order > 24:
@@ -627,6 +630,8 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
 def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
     if not plan.box:
         raise ValueError("avweight needs a bounding box")
+    if plan.mode != "exhaustive":
+        raise ValueError("avweight runs in exhaustive mode")
     total = 0
     cases = 0
     for A in enumerate_downsets(plan.box):

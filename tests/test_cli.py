@@ -132,7 +132,13 @@ def test_verify_command_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "extra",
-    [{"sample-size": 5}, {}, {"sample_size": 0}, {"sample_size": 5, "generators": {"policy": "standard-basis", "cuont": 2}}],
+    [
+        {"sample-size": 5},
+        {},
+        {"sample_size": 0},
+        {"sample_size": 5, "generators": {"policy": "standard-basis", "cuont": 2}},
+        {"sample_size": 5, "group": {"moduli": [2, 2], "modulii": [3]}},
+    ],
 )
 def test_verify_command_rejects_plans_that_would_pass_vacuously(capsys, tmp_path, extra):
     plan = tmp_path / "plan.json"

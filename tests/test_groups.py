@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from isoperim import (
     order_of,
     span,
 )
-from isoperim.groups import MAX_ORDER_ENV
+from isoperim.groups import MAX_ORDER_ENV, translate_mask
+from isoperim.prng import SplitMix64
 
 
 def brute_force_order(g):
@@ -303,3 +305,138 @@ def test_coset_decompose_rejects_non_subgroup():
     not_subgroup = GroupSet.from_elements(spec, [spec.element([1, 0])])
     with pytest.raises(NotASubgroupError):
         coset_decompose(GroupSet.full(spec), not_subgroup)
+
+
+# -- the roll kernel against the per-element permutation ----------------------
+
+
+def assert_rolls_match_perm(spec, gs, masks):
+    for g in gs:
+        shifter = spec.shift_table(g)
+        perm = spec.add_perm(g)
+        for mask in masks:
+            assert shifter.apply(mask) == translate_mask(mask, perm), (spec, g, mask)
+
+
+@pytest.mark.parametrize("moduli", [(2, 3, 4), (3, 3, 3), (5, 2), (4, 2, 8)])
+def test_shifter_apply_matches_add_perm(moduli):
+    spec = GroupSpec(moduli)
+    if spec.order <= 10:
+        masks = range(1 << spec.order)
+    else:
+        rng = SplitMix64(spec.order)
+        masks = [0, (1 << spec.order) - 1] + [rng.mask_bits(spec.order) for _ in range(40)]
+    assert_rolls_match_perm(spec, list(spec.elements()), masks)
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 14, (4,) * 7, (2, 2, 4, 4, 4, 16)])
+def test_shifter_apply_matches_add_perm_on_large_groups(moduli):
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(len(moduli))
+    gs = [spec.element_at(rng.below(spec.order)) for _ in range(8)] + [spec.zero()]
+    assert_rolls_match_perm(spec, gs, [rng.mask_bits(spec.order) for _ in range(3)])
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (4, 4), (2, 8), (2, 4, 4), (32,)])
+def test_shifter_apply_array_matches_apply(moduli):
+    spec = GroupSpec(moduli)
+    if spec.order <= 16:
+        masks = np.arange(1 << spec.order, dtype=np.uint32)
+    else:
+        rng = SplitMix64(7)
+        masks = np.array([rng.mask_bits(spec.order) for _ in range(64)], dtype=np.uint32)
+    for g in spec.elements():
+        shifter = spec.shift_table(g)
+        images = shifter.apply_array(masks)
+        assert images.dtype == np.uint32
+        assert images.tolist() == [shifter.apply(m) for m in masks.tolist()], g
+
+
+def test_shifter_apply_array_needs_a_small_group():
+    spec = GroupSpec([2] * 6)
+    with pytest.raises(ValueError):
+        spec.shift_table(spec.element_at(1)).apply_array(np.arange(4, dtype=np.uint32))
+
+
+def test_shifter_perm_is_the_add_perm_list():
+    spec = GroupSpec([3, 4])
+    g = spec.element([2, 1])
+    assert spec.shift_table(g).perm == spec.add_perm(g)
+
+
+# -- span against breadth-first closure -----------------------------------------
+
+
+def bfs_span(gens):
+    """Reference: breadth-first closure of {0} under the generators' index permutations."""
+    spec = gens.spec
+    seen = 1  # the zero element has index 0
+    frontier = [0]
+    perms = [spec.add_perm(s) for s in gens]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for p in perms:
+                q = p[r]
+                if not (seen >> q) & 1:
+                    seen |= 1 << q
+                    nxt.append(q)
+        frontier = nxt
+    return GroupSet(spec, seen)
+
+
+def bounded_span(gens):
+    """``span``, failing instead of looping if it translates more than ord(s).bit_length() times per s."""
+    budget = [sum(order_of(s).bit_length() for s in gens)]
+    shift_table = GroupSpec.shift_table
+
+    def counted(spec, g):
+        budget[0] -= 1
+        assert budget[0] >= 0, "span translated more often than its doubling bound"
+        return shift_table(spec, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GroupSpec, "shift_table", counted)
+        return span(gens)
+
+
+@pytest.mark.parametrize("moduli, max_size", [((3, 3), 9), ((2, 4), 8), ((2, 2, 2, 2), 4)])
+def test_span_matches_bfs_on_every_generator_set(moduli, max_size):
+    # on C2^4 every set of at most d(G) = 4 elements: all 2**16 sets take seconds
+    spec = GroupSpec(moduli)
+    elems = list(spec.elements())
+    for bits in range(1 << spec.order):
+        if bits.bit_count() <= max_size:
+            gens = GeneratorSeq(spec, [elems[r] for r in range(spec.order) if bits >> r & 1])
+            assert bounded_span(gens) == bfs_span(gens), gens
+
+
+@pytest.mark.parametrize("moduli", [(4,) * 5, (2,) * 10])
+def test_span_matches_bfs_on_drawn_sequences(moduli):
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(sum(moduli))
+    for length in range(1, 7):
+        for _ in range(4):
+            idx = {rng.below(spec.order) for _ in range(length)}
+            gens = GeneratorSeq(spec, [spec.element_at(r) for r in sorted(idx)])
+            assert bounded_span(gens) == bfs_span(gens), gens
+
+
+def test_span_with_the_zero_element():
+    spec = GroupSpec([2, 6])
+    for gens in (
+        GeneratorSeq(spec, (spec.zero(),)),
+        GeneratorSeq(spec, (spec.element([1, 2]), spec.zero(), spec.element([0, 3]))),
+    ):
+        assert bounded_span(gens) == bfs_span(gens)
+
+
+@pytest.mark.parametrize("moduli", [(3, 3, 3), (5, 3), (9, 3), (7,)])
+def test_span_terminates_on_odd_order_elements(moduli):
+    # 2**j * s never reaches zero when ord(s) is odd, so the loop bound must stop it
+    spec = GroupSpec(moduli)
+    for g in spec.elements():
+        gens = GeneratorSeq(spec, (g,))
+        assert bounded_span(gens) == bfs_span(gens)
+    pair = GeneratorSeq(spec, (spec.element_at(1), spec.element_at(spec.order - 1)))
+    assert bounded_span(pair) == bfs_span(pair)

@@ -217,6 +217,13 @@ def test_avweight_plan_details():
         assert replay_witness(w)
 
 
+def test_avweight_runs_only_exhaustive():
+    # the downset enumeration has no sampled form; a sample plan would enumerate anyway
+    plan = VerifyPlan(theorem="avweight", box=(1, 1), mode="sample", sample_size=3)
+    with pytest.raises(ValueError, match="avweight runs in exhaustive mode"):
+        run_verify(plan)
+
+
 def test_lwplus_plan():
     plan = VerifyPlan(theorem="lwplus", box=(2, 2), mode="sample", sample_size=50, seed=4)
     report = run_verify(plan)
@@ -373,6 +380,9 @@ def test_plans_reject_unknown_keys():
     policy = {"policy": "random-generating", "count": 2, "sets": 1, "independant": True}
     with pytest.raises(ValueError, match="unknown generator policy keys"):
         VerifyPlan.from_obj({**obj, "generators": policy})
+    # a misspelt key inside the group would otherwise run the plan on C2^2
+    with pytest.raises(ValueError, match="unknown group keys"):
+        VerifyPlan.from_obj({**obj, "group": {"moduli": [2, 2], "modulii": [3]}})
 
 
 def test_sample_plans_need_cases():
