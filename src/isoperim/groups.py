@@ -112,12 +112,14 @@ class Shifter:
 class GroupSpec:
     """A finite abelian group C_m1 + ... + C_mn with mixed-radix element indexing.
 
-    Immutable after construction (the internal permutation caches are
-    write-once and invisible to callers), so instances are safe to share
-    across parallel workers.
+    Immutable after construction, so instances are safe to share across
+    parallel workers.  Each instance keeps three write-once caches keyed by
+    element index and invisible to callers: the ``add_perm`` lists, the
+    ``shift_table`` translators and the ``cyclic_closure`` pairs.  They live
+    and die with the instance, so a fresh ``GroupSpec`` starts cold.
     """
 
-    __slots__ = ("moduli", "order", "exponent", "strides", "_perm_cache", "_shift_cache")
+    __slots__ = ("moduli", "order", "exponent", "strides", "_perm_cache", "_shift_cache", "_cyclic_cache")
 
     def __init__(self, moduli: Sequence[int], max_order: int | None = None):
         mods = tuple(int(m) for m in moduli)
@@ -140,6 +142,7 @@ class GroupSpec:
         self.strides = tuple(strides)
         self._perm_cache: dict[int, list[int]] = {}
         self._shift_cache: dict[int, Shifter] = {}
+        self._cyclic_cache: dict[int, tuple[int, tuple[Shifter, ...]]] = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -230,6 +233,32 @@ class GroupSpec:
             shifter = Shifter(self, g)
             self._shift_cache[key] = shifter
         return shifter
+
+    def cyclic_closure(self, r: int) -> tuple[int, tuple[Shifter, ...]]:
+        """The cyclic subgroup <g> of the element g with index r, for mask closures (cached).
+
+        Returns the mask of the non-zero multiples of g and the doubling
+        shifters for g, 2g, 4g, ..., a list that stops once 2**j * g = 0 (it
+        is empty for g = 0).  Applying them in turn, ``H |= sh.apply(H)``,
+        takes a mask H to H + <g>: H + {0, g, ..., (2**j - 1)g} doubles its
+        run of multiples with each step, so ``order_of(g).bit_length()``
+        steps cover <g>.
+        """
+        hit = self._cyclic_cache.get(r)
+        if hit is None:
+            step = self.element_at(r)
+            shifters = []
+            for _ in range(order_of(step).bit_length()):
+                if step.is_zero:
+                    break
+                shifters.append(self.shift_table(step))
+                step = step + step
+            cyclic = 1  # the zero element has index 0
+            for sh in shifters:
+                cyclic |= sh.apply(cyclic)
+            hit = (cyclic ^ 1, tuple(shifters))
+            self._cyclic_cache[r] = hit
+        return hit
 
     # -- serialization ------------------------------------------------------
 
@@ -474,21 +503,15 @@ def order_of(g: Element) -> int:
 
 
 def span(gens: GeneratorSeq) -> GroupSet:
-    """The subgroup generated by the sequence, as a closure by doubling.
+    """The subgroup generated by the sequence: {0} closed under each <s>.
 
-    H + {0, s, ..., (2**j - 1)s} doubles its run of multiples of s with one
-    translation by 2**j * s, so ``order_of(s).bit_length()`` steps take H to
-    H + <s>; a step stops early once 2**j * s is zero.
+    Each closure runs the doubling shifters of ``GroupSpec.cyclic_closure``.
     """
     spec = gens.spec
     H = 1  # the zero element has index 0
     for s in gens:
-        step = s
-        for _ in range(order_of(s).bit_length()):
-            if step.is_zero:
-                break
-            H |= spec.shift_table(step).apply(H)
-            step = step + step
+        for sh in spec.cyclic_closure(spec.index_of(s))[1]:
+            H |= sh.apply(H)
     return GroupSet(spec, H)
 
 
@@ -518,8 +541,8 @@ def min_nonzero_order(spec: GroupSpec) -> int:
     return min(_least_prime_factor(m) for m in spec.moduli)
 
 
-def min_generators(spec: GroupSpec) -> int:
-    """d(G), the fewest elements that generate the group: its largest p-rank."""
+def p_ranks(spec: GroupSpec) -> dict[int, int]:
+    """r_p(G) for each prime p dividing |G|: the number of cyclic factors whose order p divides."""
     ranks: dict[int, int] = {}
     for m in spec.moduli:
         while m > 1:
@@ -527,7 +550,12 @@ def min_generators(spec: GroupSpec) -> int:
             ranks[p] = ranks.get(p, 0) + 1
             while m % p == 0:
                 m //= p
-    return max(ranks.values())
+    return ranks
+
+
+def min_generators(spec: GroupSpec) -> int:
+    """d(G), the fewest elements that generate the group: its largest p-rank."""
+    return max(p_ranks(spec).values())
 
 
 def _require_subgroup(H: GroupSet) -> None:

@@ -38,10 +38,12 @@ from .groups import (
     iter_bits,
     min_generators,
     min_nonzero_order,
+    p_ranks,
     span,
 )
 from .lattice import (
     LatticeSet,
+    box_projector,
     loomis_whitney_feasible,
     lw_plus_feasible,
     projection_sizes,
@@ -318,14 +320,20 @@ def draw_generating_seq(
     """Rejection-sample ``count`` distinct elements until they generate the group.
 
     Raises ValueError for a count below the fewest generators of the group,
-    and after ``GENERATOR_DRAW_LIMIT`` rejected attempts (say, an independent
-    count that no sequence reaches).
+    for an independent count above the p-rank sum plus one (at most one entry
+    may be zero, and the non-zero entries of an independent sequence are at
+    most the p-rank sum), and after ``GENERATOR_DRAW_LIMIT`` rejected attempts.
     """
     if count < 1:
         raise ValueError("generator count must be positive")
     need = min_generators(spec)
     if count < need:
         raise ValueError(f"{count} elements cannot generate {spec!r}, which needs {need}")
+    rank_sum = sum(p_ranks(spec).values())
+    if independent and count > rank_sum + 1:
+        raise ValueError(
+            f"no independent generating sequence of {count} elements of {spec!r}: its p-ranks sum to {rank_sum}"
+        )
     for _ in range(GENERATOR_DRAW_LIMIT):
         idxs = [rng.below(spec.order) for _ in range(count)]
         if len(set(idxs)) != count:
@@ -669,21 +677,20 @@ def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
         raise ValueError("lwplus runs in sample mode")
     dims = tuple(int(b) for b in plan.box)
     cells = list(_cartesian(*[range(b + 1) for b in dims]))
+    projections = box_projector(dims)
     rng = SplitMix64(plan.seed)
     cases = 0
     for _ in range(plan.sample_size):
         mask = rng.nonempty_mask(len(cells))
-        pts = [cells[i] for i in iter_bits(mask)]
-        A = LatticeSet(len(dims), pts)
-        size = len(A)
-        proj = projection_sizes(A)
+        size = mask.bit_count()
+        proj = projections(mask)
         cases += 1
-        for check, v in _projection_verdicts(A.dim, size, proj).items():
+        for check, v in _projection_verdicts(len(dims), size, proj).items():
             if not v.ok or v.equality:
                 witness = {
                     "kind": "violation" if not v.ok else "equality",
                     "check": check,
-                    "set": A.to_obj(),
+                    "set": LatticeSet(len(dims), [cells[i] for i in iter_bits(mask)]).to_obj(),
                     "size": size,
                     "projections": list(proj),
                 }

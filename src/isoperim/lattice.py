@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class LatticeSet:
@@ -116,6 +116,42 @@ def projection_sizes(A: LatticeSet) -> tuple[int, ...]:
     for i in range(A.dim):
         out.append(len({a[:i] + (0,) + a[i + 1:] for a in A.points}))
     return tuple(out)
+
+
+def box_projector(box: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
+    """|pi_i(A)| for each i, for sets A of the box prod_i [0, b_i] given as masks.
+
+    Cell a has bit index sum_i a_i * stride_i, with stride_i = prod_{j>i} (b_j + 1),
+    which is lexicographic (product) order.  pi_i(A) is read off the plane
+    a_i = 0: ``popcount(plane_i & OR_c (mask >> c * stride_i))`` over
+    c = 0..b_i.  The planes and shifts are built once per box; the returned
+    function needs no per-point work.  ``projection_sizes`` is its oracle.
+    """
+    dims = tuple(int(b) for b in box)
+    if not dims:
+        raise ValueError("the box needs at least one axis")
+    if min(dims) < 0:
+        raise ValueError("box bounds must be non-negative")
+    cells = prod(b + 1 for b in dims)
+    folds = []
+    stride = cells
+    for b in dims:
+        period = stride
+        stride //= b + 1
+        # a_i = 0 in the first stride bits of every period of (b_i + 1) * stride bits
+        plane = ((1 << cells) - 1) // ((1 << period) - 1) * ((1 << stride) - 1)
+        folds.append((plane, tuple(c * stride for c in range(1, b + 1))))
+
+    def sizes(mask: int) -> tuple[int, ...]:
+        out = []
+        for plane, shifts in folds:
+            fold = mask
+            for shift in shifts:
+                fold |= mask >> shift
+            out.append((fold & plane).bit_count())
+        return tuple(out)
+
+    return sizes
 
 
 def lw_plus_feasible(dim: int, size: int, projections: Sequence[int]) -> bool:

@@ -3,7 +3,11 @@
 r_A(g) counts ordered pairs of elements of A differing by g; the g-popular
 set at threshold gamma keeps the elements with at least gamma*|A| such
 representations.  The dimension searches below return certified maxima: the
-backtracking is exhaustive and only uses sound prunes.
+backtracking is exhaustive and only uses sound prunes.  They run on masks:
+a span or a family of subset sums is a bitmask over element indices, grown by
+the cached translators of ``GroupSpec.cyclic_closure``, so the test "<r> meets
+the span" is one AND with the mask of the non-zero multiples of r and no step
+of a search works element by element.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import Verdict
-from .groups import Element, GroupSet, GroupSpec, min_nonzero_order
+from .groups import Element, GroupSet, GroupSpec, min_nonzero_order, p_ranks
 
 DEFAULT_DIM_CAP = 24
 
@@ -80,12 +84,13 @@ def is_dissociated(B: GroupSet, cap: int = DEFAULT_DIM_CAP) -> bool:
     """True iff all 2**|B| subset sums are pairwise distinct."""
     if len(B) > cap:
         raise ValueError(f"set size {len(B)} exceeds the dissociativity cap {cap}")
+    if B.has_index(0):
+        return False  # the empty sum and {0} both sum to 0
     spec = B.spec
-    sums = {0}
+    sums = 1  # the empty sum
     for r in B.indices():
-        perm = spec.add_perm(spec.element_at(r))
-        shifted = {perm[s] for s in sums}
-        if not shifted.isdisjoint(sums):
+        shifted = spec.cyclic_closure(r)[1][0].apply(sums)
+        if shifted & sums:
             return False
         sums |= shifted
     return True
@@ -105,9 +110,12 @@ def dim_independent(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
     """Size of the largest independent subset of P, by exhaustive backtracking.
 
     Zero never participates: it contributes order 1 and is excluded from the
-    candidate pool.  Prunes are sound (candidate count, and the structural
-    bound prod(ord) <= |G|), so the maximum is certified, and the search stops
-    early only once a set matching the structural bound has been found.
+    candidate pool.  Prunes are sound (candidate count), and the search stops
+    early only once a set matching the structural bound has been found: the
+    smaller of floor(log_p |G|), from prod(ord) <= |G| with p the least
+    non-zero order, and the p-rank sum of G, since every non-trivial cyclic
+    summand of an independent set adds at least 1 to some p-rank of the
+    subgroup it spans, and no p-rank of a subgroup exceeds r_p(G).
     """
     if len(P) > cap:
         raise ValueError(f"set size {len(P)} exceeds the search cap {cap}")
@@ -115,17 +123,9 @@ def dim_independent(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
     cands = [r for r in P.indices() if r != 0]
     if not cands:
         return DimensionResult(0, GroupSet.empty(spec), "independent")
-    upper = _max_power_below(min_nonzero_order(spec), spec.order)
-    # non-zero multiples of each candidate, for the trivial-intersection test
-    mults: dict[int, list[int]] = {}
-    for r in cands:
-        perm = spec.add_perm(spec.element_at(r))
-        chain = []
-        q = perm[0]
-        while q != 0:
-            chain.append(q)
-            q = perm[q]
-        mults[r] = chain
+    upper = min(_max_power_below(min_nonzero_order(spec), spec.order), sum(p_ranks(spec).values()))
+    # non-zero multiples of each candidate and the doubling shifters of <r>
+    closures = [spec.cyclic_closure(r) for r in cands]
 
     best_size = 0
     best: tuple[int, ...] = ()
@@ -137,22 +137,14 @@ def dim_independent(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
         if best_size == upper or len(chosen) + (len(cands) - start) <= best_size:
             return
         for j in range(start, len(cands)):
-            r = cands[j]
-            chain = mults[r]
+            multiples, shifters = closures[j]
             # <r> meets the current span only in 0  <=>  extension stays independent
-            if any((span_mask >> q) & 1 for q in chain):
+            if span_mask & multiples:
                 continue
             new_span = span_mask
-            for q in chain:
-                perm = spec.add_perm(spec.element_at(q))
-                shifted = 0
-                m = span_mask
-                while m:
-                    lsb = m & -m
-                    shifted |= 1 << perm[lsb.bit_length() - 1]
-                    m ^= lsb
-                new_span |= shifted
-            grow(j + 1, chosen + (r,), new_span)
+            for sh in shifters:
+                new_span |= sh.apply(new_span)
+            grow(j + 1, chosen + (cands[j],), new_span)
             if best_size == upper:
                 return
 
@@ -161,7 +153,11 @@ def dim_independent(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
 
 
 def dim_dissociated(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
-    """Size of the largest dissociated subset of P, by exhaustive backtracking."""
+    """Size of the largest dissociated subset of P, by exhaustive backtracking.
+
+    Subset sums are a mask; adding r keeps the set dissociated iff the sums
+    translated by r miss the sums.
+    """
     if len(P) > cap:
         raise ValueError(f"set size {len(P)} exceeds the search cap {cap}")
     spec = P.spec
@@ -169,28 +165,27 @@ def dim_dissociated(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
     if not cands:
         return DimensionResult(0, GroupSet.empty(spec), "dissociated")
     upper = _max_power_below(2, spec.order)
-    perms = {r: spec.add_perm(spec.element_at(r)) for r in cands}
+    # the first doubling shifter of <r> translates by r itself
+    shifters = [spec.cyclic_closure(r)[1][0] for r in cands]
 
     best_size = 0
     best: tuple[int, ...] = ()
 
-    def grow(start: int, chosen: tuple[int, ...], sums: frozenset[int]) -> None:
+    def grow(start: int, chosen: tuple[int, ...], sums: int) -> None:
         nonlocal best_size, best
         if len(chosen) > best_size:
             best_size, best = len(chosen), chosen
         if best_size == upper or len(chosen) + (len(cands) - start) <= best_size:
             return
         for j in range(start, len(cands)):
-            r = cands[j]
-            perm = perms[r]
-            shifted = frozenset(perm[s] for s in sums)
-            if not shifted.isdisjoint(sums):
+            shifted = shifters[j].apply(sums)
+            if shifted & sums:
                 continue
-            grow(j + 1, chosen + (r,), sums | shifted)
+            grow(j + 1, chosen + (cands[j],), sums | shifted)
             if best_size == upper:
                 return
 
-    grow(0, (), frozenset({0}))
+    grow(0, (), 1)
     return DimensionResult(best_size, GroupSet.from_indices(spec, best), "dissociated")
 
 

@@ -71,7 +71,7 @@ def test_traced_op_matches_untraced(layertrace, theorem):
     traced = tracer.run_op(0, False, op)
     assert traced.rsplit('"wall_time"', 1)[0] == untraced.rsplit('"wall_time"', 1)[0]
     assert tracer.op_calls(0, "op") == 1
-    if theorem in ("exp234", "bl-bound", "generalcase", "cosetdecomp"):
-        # sampled boundary cases translate masks, and the tally reads Shifter.perm
+    if theorem in ("exp234", "bl-bound", "generalcase", "cosetdecomp", "repa"):
+        # sampled boundary cases and dimension searches translate masks, and the tally reads Shifter.perm
         assert tracer.op_calls(0, "groups.translate") > 0
         assert tracer.tally["groups.translate"] > 0

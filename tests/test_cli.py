@@ -148,6 +148,22 @@ def test_verify_command_rejects_plans_that_would_pass_vacuously(capsys, tmp_path
     assert "PASS" not in captured.out and "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "plan_obj, message",
+    [
+        # C4^2 has p-rank sum 2, so no independent sequence has more than 3 entries
+        ({"theorem": "exp234", "group": {"moduli": [4, 4]}, "mode": "sample", "sample_size": 5,
+          "generators": {"policy": "random-generating", "count": 4, "independent": True}}, "p-ranks"),
+        ({"theorem": "lwplus", "box": [2, -1], "mode": "sample", "sample_size": 5}, "non-negative"),
+    ],
+)
+def test_verify_command_rejects_infeasible_plans_at_once(capsys, tmp_path, plan_obj, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_obj))
+    assert main(["verify", "--plan", str(plan)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_example_command(capsys):
     rc = main(["example", "--id", "ex3", "--params", "m=5,t=2,n=3"])
     assert rc == 0

@@ -20,7 +20,7 @@ from isoperim import (
     order_of,
     span,
 )
-from isoperim.groups import MAX_ORDER_ENV, translate_mask
+from isoperim.groups import MAX_ORDER_ENV, min_generators, p_ranks, translate_mask
 from isoperim.prng import SplitMix64
 
 
@@ -362,6 +362,49 @@ def test_shifter_perm_is_the_add_perm_list():
     spec = GroupSpec([3, 4])
     g = spec.element([2, 1])
     assert spec.shift_table(g).perm == spec.add_perm(g)
+
+
+@pytest.mark.parametrize(
+    "moduli, ranks",
+    [
+        ((2,), {2: 1}),
+        ((2, 4, 4), {2: 3}),
+        ((6, 6), {2: 2, 3: 2}),
+        ((12,), {2: 1, 3: 1}),
+        ((2, 2, 3), {2: 2, 3: 1}),
+        ((3, 9), {3: 2}),
+        ((5, 5), {5: 2}),
+        ((30, 10), {2: 2, 3: 1, 5: 2}),
+        ((49, 7, 2), {7: 2, 2: 1}),
+    ],
+)
+def test_p_ranks(moduli, ranks):
+    spec = GroupSpec(moduli)
+    assert p_ranks(spec) == ranks
+    assert min_generators(spec) == max(ranks.values())
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2), (2, 4), (6,), (3, 9), (2, 3, 4), (5, 2), (7,), (4, 8)])
+def test_cyclic_closure_matches_repeated_addition(moduli):
+    spec = GroupSpec(moduli)
+    for r in range(spec.order):
+        g = spec.element_at(r)
+        multiples, shifters = spec.cyclic_closure(r)
+        expected, step = 0, g
+        while not step.is_zero:
+            expected |= 1 << step.index()
+            step = step + g
+        assert multiples == expected, g
+        # the doubling shifters translate by g, 2g, 4g, ... and stop before 0
+        doubled = [sh.g for sh in shifters]
+        assert doubled[:1] == ([] if g.is_zero else [g])
+        assert all(b == a + a for a, b in zip(doubled, doubled[1:]))
+        assert not any(d.is_zero for d in doubled)
+        if doubled:
+            last = doubled[-1]
+            assert len(doubled) == order_of(g).bit_length() or (last + last).is_zero
+        assert spec.cyclic_closure(r) is spec.cyclic_closure(r)  # cached on the instance
+    assert GroupSpec(moduli)._cyclic_cache == {}  # a new instance starts cold
 
 
 # -- span against breadth-first closure -----------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -12,6 +14,7 @@ from isoperim import (
     GeneratorSeq,
     GroupSet,
     GroupSpec,
+    LatticeSet,
     SplitMix64,
     VerifyPlan,
     build_example,
@@ -21,6 +24,9 @@ from isoperim import (
     gray_subset_sweep,
     is_downset,
     is_independent,
+    loomis_whitney_feasible,
+    lw_plus_feasible,
+    projection_sizes,
     replay_witness,
     run_verify,
     span,
@@ -230,6 +236,58 @@ def test_lwplus_plan():
     assert report.passed and report.cases_checked == 50
 
 
+def reference_lwplus_report(plan):
+    """Reference: the lwplus runner as a loop that builds a LatticeSet for every sampled mask."""
+    dims = tuple(plan.box)
+    cells = list(product(*[range(b + 1) for b in dims]))
+    rng = SplitMix64(plan.seed)
+    violations, equalities = [], []
+    for _ in range(plan.sample_size):
+        mask = rng.nonempty_mask(len(cells))
+        A = LatticeSet(len(dims), [cells[i] for i in range(len(cells)) if mask >> i & 1])
+        n, size, proj = A.dim, len(A), projection_sizes(A)
+        verdicts = {
+            "lwplus": (lw_plus_feasible(n, size, proj), 4 ** (n * size) == 4 ** sum(proj) * size**size),
+            "loomis-whitney": (loomis_whitney_feasible(size, proj), prod(proj) == size ** (n - 1)),
+        }
+        for check, (ok, equality) in verdicts.items():
+            if not ok or equality:
+                witness = {
+                    "kind": "violation" if not ok else "equality",
+                    "check": check,
+                    "set": A.to_obj(),
+                    "size": size,
+                    "projections": list(proj),
+                }
+                (violations if not ok else equalities).append(witness)
+    label = "box-" + "x".join(map(str, dims))
+    classes = [{"label": label, "cases": plan.sample_size, "vacuous": 0,
+                "violations": len(violations), "equalities": len(equalities)}]
+    return violations, equalities, classes
+
+
+@pytest.mark.parametrize("box", [(1,), (1, 1), (0, 2), (1, 1, 1), (2, 2), (2, 0, 1)])
+def test_lwplus_runner_matches_the_per_set_loop(box):
+    # small boxes are witness-heavy: tens to hundreds of equality cases per plan
+    for seed in (1, 2, 3):
+        plan = VerifyPlan(theorem="lwplus", box=box, mode="sample", sample_size=400, seed=seed)
+        report = run_verify(plan)
+        violations, equalities, classes = reference_lwplus_report(plan)
+        assert report.violations == violations
+        assert report.equality_witnesses == equalities
+        assert report.classes == classes and report.cases_checked == plan.sample_size
+    assert equalities
+    for w in report.equality_witnesses:
+        assert replay_witness(w)
+
+
+def test_lwplus_rejects_negative_box_bounds():
+    # an empty box would leave the non-empty sampler drawing forever
+    plan = VerifyPlan(theorem="lwplus", box=(2, -1), mode="sample", sample_size=3)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_verify(plan)
+
+
 def test_repa_plan_equality_replay():
     plan = VerifyPlan(
         theorem="repa",
@@ -354,6 +412,20 @@ def test_draw_generating_seq_gives_up_after_the_attempt_limit():
         draw_generating_seq(GroupSpec([2, 2]), SplitMix64(0), 5)
 
 
+def test_draw_generating_seq_rejects_independent_counts_above_the_p_rank_sum():
+    # an independent sequence holds at most one zero and at most sum_p r_p(G)
+    # non-zero entries; rejection sampling would spin through every attempt
+    for moduli, count in (((4, 4), 4), ((2, 2, 2), 5), ((6, 6), 6), ((3, 9), 4)):
+        rng = SplitMix64(0)
+        with pytest.raises(ValueError, match="p-ranks sum to"):
+            draw_generating_seq(GroupSpec(moduli), rng, count, independent=True)
+        assert rng.next_u64() == SplitMix64(0).next_u64()  # nothing was drawn
+    # the largest feasible count needs the zero element
+    spec = GroupSpec([4, 4])
+    seq = draw_generating_seq(spec, SplitMix64(3), 3, independent=True)
+    assert spec.zero() in seq.elements and is_independent(seq) and len(span(seq)) == spec.order
+
+
 def test_draw_generating_seq_consumes_the_rng_like_plain_rejection():
     # the checks added in front of the loop draw nothing, so seeded plans keep their sets
     def plain(spec, rng, count, independent):
@@ -365,7 +437,9 @@ def test_draw_generating_seq_consumes_the_rng_like_plain_rejection():
             if len(span(seq)) == spec.order and (not independent or is_independent(seq)):
                 return seq
 
-    for moduli, count, independent in (((2, 8), 2, True), ((4, 4), 3, False), ((2, 2, 2, 2), 4, False)):
+    for moduli, count, independent in (
+        ((2, 8), 2, True), ((4, 4), 3, False), ((2, 2, 2, 2), 4, False), ((4, 4), 3, True), ((2, 2, 3), 4, True),
+    ):
         spec = GroupSpec(moduli)
         a, b = SplitMix64(17), SplitMix64(17)
         for _ in range(5):

@@ -23,6 +23,7 @@ from isoperim import (
     weight,
     weight_stats,
 )
+from isoperim.lattice import box_projector
 from isoperim.prng import SplitMix64
 
 
@@ -111,6 +112,38 @@ def test_avg_weight_all_downsets_in_small_boxes():
 def test_projection_sizes_examples():
     assert projection_sizes(LatticeSet(2, [(0, 0)])) == (1, 1)
     assert projection_sizes(cube(2)) == (2, 2)
+
+
+def set_of_mask(box, cells, mask):
+    return LatticeSet(len(box), [cells[i] for i in range(len(cells)) if mask >> i & 1])
+
+
+@pytest.mark.parametrize("box", [(1,), (0, 2), (1, 1), (2, 2), (1, 1, 1), (0,)])
+def test_box_projector_matches_projection_sizes_on_every_mask(box):
+    cells = list(product(*[range(b + 1) for b in box]))
+    sizes = box_projector(box)
+    for mask in range(1 << len(cells)):
+        assert sizes(mask) == (projection_sizes(set_of_mask(box, cells, mask)) if mask else (0,) * len(box))
+
+
+@pytest.mark.parametrize("box", [(3, 1, 2), (1, 1, 1, 1, 1), (4, 4, 4), (3, 3, 3, 3), (2, 0, 3)])
+def test_box_projector_matches_projection_sizes_on_seeded_masks(box):
+    cells = list(product(*[range(b + 1) for b in box]))
+    sizes = box_projector(box)
+    rng = SplitMix64(len(cells))
+    for _ in range(300):
+        # dense, uniform and sparse masks
+        mask = rng.mask_bits(len(cells))
+        for m in (mask | rng.mask_bits(len(cells)), mask, mask & rng.mask_bits(len(cells))):
+            if m:
+                assert sizes(m) == projection_sizes(set_of_mask(box, cells, m)), (box, m)
+
+
+def test_box_projector_rejects_bad_boxes():
+    with pytest.raises(ValueError, match="at least one axis"):
+        box_projector(())
+    with pytest.raises(ValueError, match="non-negative"):
+        box_projector((2, -1))
 
 
 def test_downset_hyperplane_identity():

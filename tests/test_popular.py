@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -22,6 +24,7 @@ from isoperim import (
     popular_dim_bound_holds,
     span,
 )
+from isoperim.groups import min_nonzero_order, p_ranks
 from isoperim.prng import SplitMix64
 
 
@@ -245,6 +248,141 @@ def test_dimensions_coincide_for_small_exponent():
     for mask in range(1, 1 << spec.order):
         P = GroupSet(spec, mask)
         assert dim_independent(P).value == dim_dissociated(P).value
+
+
+# -- mask searches against the per-element searches they replaced ------------------
+
+
+def reference_dim_independent(P):
+    """Reference: the per-element independence search, translating spans bit by bit.
+
+    Same DFS order and early stop as ``dim_independent``, with the
+    floor(log_p |G|) bound only, so it returns the same value and witness.
+    """
+    spec = P.spec
+    cands = [r for r in P.indices() if r != 0]
+    if not cands:
+        return 0, 0
+    p = min_nonzero_order(spec)
+    upper = max(k for k in range(spec.order.bit_length() + 1) if p**k <= spec.order)
+    mults = {}
+    for r in cands:
+        perm = spec.add_perm(spec.element_at(r))
+        chain = []
+        q = perm[0]
+        while q != 0:
+            chain.append(q)
+            q = perm[q]
+        mults[r] = chain
+    best = [()]
+
+    def grow(start, chosen, span_mask):
+        if len(chosen) > len(best[0]):
+            best[0] = chosen
+        if len(best[0]) == upper or len(chosen) + (len(cands) - start) <= len(best[0]):
+            return
+        for j in range(start, len(cands)):
+            r = cands[j]
+            if any((span_mask >> q) & 1 for q in mults[r]):
+                continue
+            new_span = span_mask
+            for q in mults[r]:
+                perm = spec.add_perm(spec.element_at(q))
+                new_span |= sum(1 << perm[b] for b in range(spec.order) if (span_mask >> b) & 1)
+            grow(j + 1, chosen + (r,), new_span)
+            if len(best[0]) == upper:
+                return
+
+    grow(0, (), 1)
+    return len(best[0]), sum(1 << r for r in best[0])
+
+
+def reference_dim_dissociated(P):
+    """Reference: the dissociativity search over frozensets of subset sums."""
+    spec = P.spec
+    cands = [r for r in P.indices() if r != 0]
+    if not cands:
+        return 0, 0
+    upper = spec.order.bit_length() - 1
+    perms = {r: spec.add_perm(spec.element_at(r)) for r in cands}
+    best = [()]
+
+    def grow(start, chosen, sums):
+        if len(chosen) > len(best[0]):
+            best[0] = chosen
+        if len(best[0]) == upper or len(chosen) + (len(cands) - start) <= len(best[0]):
+            return
+        for j in range(start, len(cands)):
+            shifted = frozenset(perms[cands[j]][s] for s in sums)
+            if not shifted.isdisjoint(sums):
+                continue
+            grow(j + 1, chosen + (cands[j],), sums | shifted)
+            if len(best[0]) == upper:
+                return
+
+    grow(0, (), frozenset({0}))
+    return len(best[0]), sum(1 << r for r in best[0])
+
+
+SEARCH_GROUPS = [
+    (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2,) * 6, (3, 3), (3, 3, 3), (2, 4), (4, 4), (2, 4, 4),
+    (2, 8), (4, 8), (6,), (2, 3), (6, 6), (12,), (2, 2, 3), (3, 9), (5, 5),
+]
+
+
+@pytest.mark.parametrize("moduli", SEARCH_GROUPS, ids=lambda m: "x".join(map(str, m)))
+def test_dim_searches_match_the_per_element_references(moduli):
+    # the full group, then dense (about 3/4) and sparse (about 1/4) popular sets
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(prod(moduli))
+    full = (1 << spec.order) - 1
+    masks = [full]
+    for _ in range(12):
+        masks.append(rng.mask_bits(spec.order) | rng.mask_bits(spec.order))
+        masks.append(rng.mask_bits(spec.order) & rng.mask_bits(spec.order))
+    for mask in masks:
+        P = GroupSet(spec, mask)
+        ind = dim_independent(P, cap=spec.order)
+        assert (ind.value, ind.witness.mask) == reference_dim_independent(P), (P, "independent")
+        dis = dim_dissociated(P, cap=spec.order)
+        assert (dis.value, dis.witness.mask) == reference_dim_dissociated(P), (P, "dissociated")
+
+
+def test_independent_dimension_of_whole_groups_is_the_p_rank_sum():
+    # C6xC6 = C2^2 + C3^2 has four independent elements; C2xC4xC4 has three,
+    # although 2**5 <= 32 would allow five
+    for moduli, dim in (((6, 6), 4), ((2, 4, 4), 3), ((3, 9), 2), ((12,), 2), ((2,) * 6, 6)):
+        spec = GroupSpec(moduli)
+        res = dim_independent(GroupSet.full(spec), cap=spec.order)
+        assert res.value == dim == sum(p_ranks(spec).values())
+        assert is_independent(GeneratorSeq(spec, tuple(res.witness.elements())))
+
+
+def test_dim_searches_work_on_masks(monkeypatch):
+    # one element lookup per candidate (filling the cyclic-closure cache), no index permutation
+    calls = Counter()
+    element_at, add_perm = GroupSpec.element_at, GroupSpec.add_perm
+
+    def counted_element_at(spec, r):
+        calls["element_at"] += 1
+        return element_at(spec, r)
+
+    def counted_add_perm(spec, g):
+        calls["add_perm"] += 1
+        return add_perm(spec, g)
+
+    monkeypatch.setattr(GroupSpec, "element_at", counted_element_at)
+    monkeypatch.setattr(GroupSpec, "add_perm", counted_add_perm)
+    for search in (dim_independent, dim_dissociated):
+        spec = GroupSpec([2, 4, 4])
+        calls.clear()
+        search(GroupSet.full(spec), cap=spec.order)
+        assert calls["add_perm"] == 0
+        assert calls["element_at"] <= spec.order - 1
+    spec = GroupSpec([3, 3, 3])
+    calls.clear()
+    assert not is_dissociated(GroupSet(spec, 0b1110))
+    assert calls["add_perm"] == 0 and calls["element_at"] <= 3
 
 
 def test_popular_dim_bound_trivial_set():
