@@ -1,9 +1,11 @@
 """Edge boundaries in directed abelian Cayley graphs and the size bounds they force.
 
 The edge boundary of A with respect to S counts pairs (a, s) in A x S with
-a + s outside A.  Every bound here is decided by cross-multiplied big-integer
-comparisons: a verdict near an equality case must never flip because of
-floating point.
+a + s outside A.  Every bound here clears to one inequality between two
+products of integer powers, and ``compare_powers`` decides it: from rigorous
+log2 bounds when the two sides are far apart, from the exact big integers
+near equality (and whenever the operands are small), so an equality is always
+decided exactly and a verdict near one never flips because of floating point.
 
 ``BOUNDARY_THEOREMS`` gives each bound one entry: a hypothesis check run once
 per generator sequence, the sides of its cleared inequality, and the cached
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import log2
 from typing import Callable, NamedTuple
 
 from .groups import (
@@ -35,6 +38,96 @@ class Verdict(NamedTuple):
     ok: bool
     vacuous: bool
     equality: bool
+
+
+# -- exact power comparisons ------------------------------------------------------
+#
+# A side of a cleared inequality is a product of integer powers, written as a
+# tuple of (base, exponent) pairs with base, exponent >= 0.  Its bit length
+# grows like exponent * log2(base), which for the boundary bounds is about
+# |S| * |A| * log|A|, so the sides are multiplied out only where the float
+# logs cannot tell them apart.
+
+Powers = tuple[tuple[int, int], ...]
+
+# operands of fewer bits (both sides together) are multiplied out outright: at
+# that size the integers cost about what the two float log sums cost
+_EXACT_BITS = 4096
+# relative error margin of the float log2 sums, far above their worst case
+_LOG2_MARGIN = 2.0**-40
+
+# entries per classify_* cache: over ten times the distinct keys of the largest
+# exhaustive table (1,256 cells), so no plan of that size ever evicts
+VERDICT_CACHE_SIZE = 1 << 14
+
+
+def power_product(terms: Powers) -> int:
+    """The side prod base**exponent, multiplied out."""
+    out = 1
+    for base, exp in terms:
+        out *= base**exp
+    return out
+
+
+def _log2_sum(terms: Powers) -> float | None:
+    """sum exponent * log2(base) in floats, or None when the product is 0."""
+    total = 0.0
+    for base, exp in terms:
+        if exp:
+            if not base:
+                return None
+            total += exp * log2(base)
+    return total
+
+
+def log2_sign(lhs: Powers, rhs: Powers) -> int | None:
+    """The sign of prod lhs - prod rhs from float log2 sums, or None inside the margin.
+
+    ``math.log2`` of a positive int is within a few units in the last place of
+    log2(base) (the int rounds once to a double, or is split exactly by frexp,
+    and libm log2 adds under one more), each product with the exponent and
+    each addition round once more, and every term is non-negative.  So each
+    float sum is within (k + 5) * 2**-53 of its true value relative to it, for
+    k terms.  A difference beyond 2**-40 * (|l| + |r| + 1) therefore has the
+    true sign; within it the answer is left to the exact integers.
+    """
+    left = _log2_sum(lhs)
+    right = _log2_sum(rhs)
+    if left is None or right is None:
+        return (left is not None) - (right is not None)
+    diff = left - right
+    margin = _LOG2_MARGIN * (left + right + 1.0)
+    if diff > margin:
+        return 1
+    if diff < -margin:
+        return -1
+    return None
+
+
+def compare_powers(lhs: Powers, rhs: Powers) -> int:
+    """The sign (-1, 0 or 1) of prod lhs - prod rhs, decided exactly.
+
+    Operands under ``_EXACT_BITS`` bits are multiplied out.  Larger ones are
+    decided by ``log2_sign`` and multiplied out only inside its margin, so an
+    equality always comes from the exact integers.
+    """
+    bits = 0
+    for base, exp in lhs:
+        bits += exp * base.bit_length()
+    for base, exp in rhs:
+        bits += exp * base.bit_length()
+    if bits >= _EXACT_BITS:
+        sign = log2_sign(lhs, rhs)
+        if sign is not None:
+            return sign
+    left, right = power_product(lhs), power_product(rhs)
+    return (left > right) - (left < right)
+
+
+def cleared_verdict(lhs: Powers, rhs: Powers) -> Verdict:
+    """The verdict of the cleared inequality prod lhs >= prod rhs."""
+    sign = compare_powers(lhs, rhs)
+    return Verdict(sign >= 0, False, sign == 0)
 
 
 @dataclass(frozen=True)
@@ -101,81 +194,80 @@ def gamma_star(boundary: int, n: int, size: int) -> Fraction:
 
 # -- exact verdict kernels ------------------------------------------------------
 #
-# Each bound clears to one integer inequality lhs >= rhs.  Its *_sides function
-# writes that inequality once and returns (lhs, rhs, slack); the classify_*
-# kernel takes its verdict from the sides, after an integer vacuity test that
-# spares the Fraction when the boundary leaves no positive slack.  The kernels
-# work on plain integers so that exhaustive sweeps can tabulate them;
+# Each bound clears to one inequality lhs >= rhs between products of powers.
+# Its *_sides function writes that inequality once and returns (lhs, rhs,
+# slack) as power terms; the classify_* kernel takes its verdict from the
+# sides through ``cleared_verdict``, after an integer vacuity test that spares
+# the Fraction when the boundary leaves no positive slack.  The kernels work on
+# plain integers so that exhaustive sweeps can tabulate them;
 # BOUNDARY_THEOREMS below adds the hypothesis checks.
 
 _VACUOUS = Verdict(True, True, False)
 
 
-def _cleared(lhs: int, rhs: int, gamma: Fraction | None) -> Verdict:
-    return Verdict(lhs >= rhs, False, lhs == rhs)
-
-
-def _root_sides(size: int, base: int, exponent: Fraction, gamma: Fraction) -> tuple[int, int, Fraction]:
+def _root_sides(size: int, base: int, exponent: Fraction, gamma: Fraction) -> tuple[Powers, Powers, Fraction]:
     """Sides of size >= base**exponent cleared of its root; (size, 0) when gamma <= 0 asks nothing."""
     if gamma <= 0:
-        return size, 0, gamma
-    return size**exponent.denominator, base**exponent.numerator, gamma
+        return ((size, 1),), ((0, 1),), gamma
+    return ((size, exponent.denominator),), ((base, exponent.numerator),), gamma
 
 
-def log_lower_bound_sides(m: int, order: int, size: int, boundary: int) -> tuple[int, int, None]:
+def log_lower_bound_sides(m: int, order: int, size: int, boundary: int) -> tuple[Powers, Powers, None]:
     """boundary >= size * log_m(order/size) as m**boundary * size**size >= order**size."""
-    return m**boundary * size**size, order**size, None
+    return ((m, boundary), (size, size)), ((order, size),), None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def classify_log_lower_bound(m: int, order: int, size: int, boundary: int) -> Verdict:
     """boundary >= size * log_m(order/size), cleared of logarithms."""
-    return _cleared(*log_lower_bound_sides(m, order, size, boundary))
+    return cleared_verdict(*log_lower_bound_sides(m, order, size, boundary)[:2])
 
 
-def small_exponent_sides(order: int, rank: int, size: int, boundary: int) -> tuple[int, int, Fraction]:
+def small_exponent_sides(order: int, rank: int, size: int, boundary: int) -> tuple[Powers, Powers, Fraction]:
     """size >= order**g for the maximal admissible slack g."""
     g = gamma_star(boundary, rank, size)
     return _root_sides(size, order, g, g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def classify_small_exponent(order: int, rank: int, size: int, boundary: int) -> Verdict:
     """size >= order**g for the maximal admissible slack g (vacuous if g <= 0)."""
     if boundary >= rank * size:
         return _VACUOUS
-    return _cleared(*small_exponent_sides(order, rank, size, boundary))
+    return cleared_verdict(*small_exponent_sides(order, rank, size, boundary)[:2])
 
 
-def independence_bound_sides(d: int, n: int, size: int, boundary: int) -> tuple[int, int, Fraction]:
+def independence_bound_sides(d: int, n: int, size: int, boundary: int) -> tuple[Powers, Powers, Fraction]:
     """size >= 4**((1 - 1/d) * g * n) with g the maximal admissible slack."""
     g = gamma_star(boundary, n, size)
     return _root_sides(size, 4, Fraction(d - 1, d) * g * n, g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def classify_independence_bound(d: int, n: int, size: int, boundary: int) -> Verdict:
     """size >= 4**((1 - 1/d) * g * n) with g the maximal admissible slack."""
     if boundary >= n * size:
         return _VACUOUS
-    return _cleared(*independence_bound_sides(d, n, size, boundary))
+    return cleared_verdict(*independence_bound_sides(d, n, size, boundary)[:2])
 
 
-def subgroup_bound_sides(h_order: int, h_rank: int, size: int, boundary: int) -> tuple[int, int, Fraction | None]:
+def subgroup_bound_sides(
+    h_order: int, h_rank: int, size: int, boundary: int
+) -> tuple[Powers, Powers, Fraction | None]:
     """size >= h_order**g where g is the slack measured against rank(H)."""
     if h_order == 1:
         # S = {0}: the spanned subgroup is trivial and the bound is immediate.
-        return size, 1, None
+        return ((size, 1),), ((1, 1),), None
     g = gamma_star(boundary, h_rank, size)
     return _root_sides(size, h_order, g, g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def classify_subgroup_bound(h_order: int, h_rank: int, size: int, boundary: int) -> Verdict:
     """size >= h_order**g where g is the slack measured against rank(H)."""
     if h_order > 1 and boundary >= h_rank * size:
         return _VACUOUS
-    return _cleared(*subgroup_bound_sides(h_order, h_rank, size, boundary))
+    return cleared_verdict(*subgroup_bound_sides(h_order, h_rank, size, boundary)[:2])
 
 
 # -- hypotheses and the theorem registry -----------------------------------------
@@ -235,14 +327,15 @@ class BoundaryTheorem(NamedTuple):
 
     ``params(spec, gens)`` checks the hypotheses and returns the kernel's
     leading arguments; ``sides(*params, size, boundary)`` returns (lhs, rhs,
-    slack) of the cleared inequality lhs >= rhs; ``kernel`` names the
+    slack) of the cleared inequality lhs >= rhs, each side as power terms for
+    ``compare_powers`` and ``power_product``; ``kernel`` names the
     module-level classify_* function.  The kernel is looked up in the module
     namespace at each call, so a rebound module attribute (the benchmark's
     tracer) sees every verdict.
     """
 
     params: Callable[[GroupSpec, GeneratorSeq], tuple[int, int]]
-    sides: Callable[..., tuple[int, int, Fraction | None]]
+    sides: Callable[..., tuple[Powers, Powers, Fraction | None]]
     kernel: str
 
     def verdict(self, params: tuple[int, int], size: int, boundary: int) -> Verdict:

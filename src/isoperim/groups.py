@@ -57,6 +57,18 @@ def translate_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
+def _periodic(block: int, period: int, count: int) -> int:
+    """``count`` copies of ``block``, one every ``period`` bits, built by doubling in linear time."""
+    out = 0
+    while count:
+        if count & 1:
+            out = (out << period) | block
+        block |= block << period
+        period *= 2
+        count >>= 1
+    return out
+
+
 class Shifter:
     """Translates set bitmasks by one fixed element g, x -> x + g.
 
@@ -73,14 +85,7 @@ class Shifter:
     def __init__(self, spec: GroupSpec, g: Element):
         self.spec = spec
         self.g = g
-        full = (1 << spec.order) - 1
-        rolls = []
-        for stride, m, c in zip(spec.strides, spec.moduli, g.coords):
-            if c:
-                # one bit at the start of every period, times the staying blocks
-                keep = (full // ((1 << stride * m) - 1)) * ((1 << (m - c) * stride) - 1)
-                rolls.append((keep, full ^ keep, c * stride, (m - c) * stride))
-        self._rolls = tuple(rolls)
+        self._rolls = tuple(spec.block_roll(axis, c) for axis, c in enumerate(g.coords) if c)
         self._perm: list[int] | None = None
 
     @property
@@ -113,13 +118,16 @@ class GroupSpec:
     """A finite abelian group C_m1 + ... + C_mn with mixed-radix element indexing.
 
     Immutable after construction, so instances are safe to share across
-    parallel workers.  Each instance keeps three write-once caches keyed by
-    element index and invisible to callers: the ``add_perm`` lists, the
-    ``shift_table`` translators and the ``cyclic_closure`` pairs.  They live
-    and die with the instance, so a fresh ``GroupSpec`` starts cold.
+    parallel workers.  Each instance keeps four write-once caches invisible to
+    callers: the ``add_perm`` lists, the ``shift_table`` translators and the
+    ``cyclic_closure`` pairs, keyed by element index, and the ``block_roll``
+    masks, keyed by (axis, c).  They live and die with the instance, so a
+    fresh ``GroupSpec`` starts cold.
     """
 
-    __slots__ = ("moduli", "order", "exponent", "strides", "_perm_cache", "_shift_cache", "_cyclic_cache")
+    __slots__ = (
+        "moduli", "order", "exponent", "strides", "_perm_cache", "_shift_cache", "_cyclic_cache", "_roll_cache"
+    )
 
     def __init__(self, moduli: Sequence[int], max_order: int | None = None):
         mods = tuple(int(m) for m in moduli)
@@ -143,6 +151,7 @@ class GroupSpec:
         self._perm_cache: dict[int, list[int]] = {}
         self._shift_cache: dict[int, Shifter] = {}
         self._cyclic_cache: dict[int, tuple[int, tuple[Shifter, ...]]] = {}
+        self._roll_cache: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -233,6 +242,23 @@ class GroupSpec:
             shifter = Shifter(self, g)
             self._shift_cache[key] = shifter
         return shifter
+
+    def block_roll(self, axis: int, c: int) -> tuple[int, int, int, int]:
+        """(keep, wrap, up, down) of the roll adding c != 0 to coordinate ``axis`` (cached).
+
+        ``keep`` marks the elements whose coordinate stays below m - c, which
+        move up by c * stride bits, and ``wrap`` the others, which move down
+        by (m - c) * stride bits.  ``Shifter`` applies one roll per non-zero
+        coordinate.
+        """
+        key = (axis, c)
+        roll = self._roll_cache.get(key)
+        if roll is None:
+            stride, m = self.strides[axis], self.moduli[axis]
+            keep = _periodic((1 << (m - c) * stride) - 1, stride * m, self.order // (stride * m))
+            roll = (keep, ((1 << self.order) - 1) ^ keep, c * stride, (m - c) * stride)
+            self._roll_cache[key] = roll
+        return roll
 
     def cyclic_closure(self, r: int) -> tuple[int, tuple[Shifter, ...]]:
         """The cyclic subgroup <g> of the element g with index r, for mask closures (cached).

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .boundary import BOUNDARY_THEOREMS, Verdict, boundary_counts, edge_boundary
+from .boundary import BOUNDARY_THEOREMS, Verdict, boundary_counts, cleared_verdict, edge_boundary, power_product
 from .compression import CompressionContext
 from .groups import (
     GeneratorSeq,
@@ -44,8 +44,8 @@ from .groups import (
 from .lattice import (
     LatticeSet,
     box_projector,
-    loomis_whitney_feasible,
-    lw_plus_feasible,
+    loomis_whitney_sides,
+    lw_plus_sides,
     projection_sizes,
     weight_stats,
 )
@@ -406,9 +406,17 @@ def _boundary_witness(
 
 
 def _sides_fields(check: str, params: tuple[int, int], size: int, boundary: int) -> dict:
-    """The serialized (lhs, rhs, slack) of the cleared inequality, for witness records."""
+    """The serialized (lhs, rhs, slack) of the cleared inequality, for witness records.
+
+    The sides are multiplied out here, so only a recorded witness pays for
+    integers that a verdict far from equality never builds.
+    """
     lhs, rhs, gamma = BOUNDARY_THEOREMS[check].sides(*params, size, boundary)
-    return {"gamma_star": None if gamma is None else str(gamma), "lhs": str(lhs), "rhs": str(rhs)}
+    return {
+        "gamma_star": None if gamma is None else str(gamma),
+        "lhs": str(power_product(lhs)),
+        "rhs": str(power_product(rhs)),
+    }
 
 
 def _file_witness(report: VerifyReport, witness: dict) -> None:
@@ -609,6 +617,7 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
     else:
         masks = list(range(1, 1 << spec.order))
     variant = "exp3" if spec.exponent == 3 else f"general-p{min_nonzero_order(spec)}"
+    dims: dict[int, int] = {}  # popular-set mask -> dimension; the gammas of one set often give the same P
     cases = 0
     for mask in masks:
         A = GroupSet(spec, mask)
@@ -616,7 +625,9 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
         size = len(A)
         for gamma in plan.gammas:
             P = spectrum.popular(gamma)
-            dim = dim_independent(P, cap=plan.dim_cap).value
+            dim = dims.get(P.mask)
+            if dim is None:
+                dim = dims[P.mask] = dim_independent(P, cap=plan.dim_cap).value
             v = popular_dim_verdict(spec, gamma, size, dim)
             cases += 1
             if not v.ok or v.equality:
@@ -665,8 +676,8 @@ def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
 def _projection_verdicts(dim: int, size: int, proj: Sequence[int]) -> dict[str, Verdict]:
     """The lwplus and Loomis-Whitney verdicts on raw projection counts, in report order."""
     return {
-        "lwplus": Verdict(lw_plus_feasible(dim, size, proj), False, 4 ** (dim * size) == 4 ** sum(proj) * size**size),
-        "loomis-whitney": Verdict(loomis_whitney_feasible(size, proj), False, prod(proj) == size ** (dim - 1)),
+        "lwplus": cleared_verdict(*lw_plus_sides(dim, size, proj)),
+        "loomis-whitney": cleared_verdict(*loomis_whitney_sides(size, proj)),
     }
 
 

@@ -3,7 +3,8 @@
 A downset is closed under coordinate-wise domination from below.  The central
 estimate is that the average number of non-zero coordinates over a non-empty
 downset A is at most (1/2) log2 |A|; all log-flavoured inequalities here are
-decided by clearing the logarithms into big-integer power comparisons.
+cleared of their logarithms into comparisons of products of integer powers,
+which ``boundary.compare_powers`` decides exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
+
+from .boundary import Powers, cleared_verdict, compare_powers
 
 
 class LatticeSet:
@@ -81,7 +84,7 @@ class WeightStats:
     """Total and mean coordinate weight of a set, with the exact bound verdict.
 
     The bound (1/2) log2 |A| is never evaluated in floating point; the verdict
-    fields come from the big-integer comparison 4**total vs size**size.
+    fields come from the exact comparison of size**size with 4**total.
     """
 
     size: int
@@ -96,9 +99,8 @@ def weight_stats(A: LatticeSet) -> WeightStats:
         raise ValueError("weight statistics are undefined for the empty set")
     total = sum(weight(a) for a in A.points)
     size = len(A)
-    lhs = 4**total
-    rhs = size**size
-    return WeightStats(size, total, Fraction(total, size), lhs <= rhs, lhs == rhs)
+    v = cleared_verdict(((size, size),), ((4, total),))
+    return WeightStats(size, total, Fraction(total, size), v.ok, v.equality)
 
 
 def avg_weight_bound_holds(A: LatticeSet) -> bool:
@@ -154,11 +156,16 @@ def box_projector(box: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
     return sizes
 
 
+def lw_plus_sides(dim: int, size: int, projections: Sequence[int]) -> tuple[Powers, Powers]:
+    """n|A| <= sum|pi_i(A)| + (1/2)|A| log2 |A| cleared to 4**sum * size**size >= 4**(n*size)."""
+    return ((4, sum(projections)), (size, size)), ((4, dim * size),)
+
+
 def lw_plus_feasible(dim: int, size: int, projections: Sequence[int]) -> bool:
     """Exact form of n|A| <= sum|pi_i(A)| + (1/2)|A| log2 |A| on raw counts."""
     if size < 1:
         raise ValueError("size must be positive")
-    return 4 ** (dim * size) <= 4 ** sum(projections) * size**size
+    return compare_powers(*lw_plus_sides(dim, size, projections)) >= 0
 
 
 def lw_plus_holds(A: LatticeSet) -> bool:
@@ -168,11 +175,16 @@ def lw_plus_holds(A: LatticeSet) -> bool:
     return lw_plus_feasible(A.dim, len(A), projection_sizes(A))
 
 
+def loomis_whitney_sides(size: int, projections: Sequence[int]) -> tuple[Powers, Powers]:
+    """prod|pi_i(A)| >= |A|**(n-1) as power terms."""
+    return tuple((p, 1) for p in projections), ((size, len(projections) - 1),)
+
+
 def loomis_whitney_feasible(size: int, projections: Sequence[int]) -> bool:
     """Exact form of prod|pi_i(A)| >= |A|**(n-1) on raw counts."""
     if size < 1:
         raise ValueError("size must be positive")
-    return prod(projections) >= size ** (len(projections) - 1)
+    return compare_powers(*loomis_whitney_sides(size, projections)) >= 0
 
 
 def loomis_whitney_holds(A: LatticeSet) -> bool:
@@ -239,4 +251,4 @@ def split_inequality_holds(tau: Fraction) -> bool:
     if tau < 1:
         raise ValueError("the inequality is stated for tau >= 1")
     a, b = tau.numerator, tau.denominator
-    return 4**b * a**a * b**b <= (a + b) ** (a + b)
+    return compare_powers(((a + b, a + b),), ((4, b), (a, a), (b, b))) >= 0

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import Verdict
+from .boundary import VERDICT_CACHE_SIZE, Verdict, cleared_verdict
 from .groups import Element, GroupSet, GroupSpec, min_nonzero_order, p_ranks
 
 DEFAULT_DIM_CAP = 24
@@ -192,22 +192,18 @@ def dim_dissociated(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
 # -- popular-difference dimension bound -----------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def classify_popular_dim(p: int, gamma: Fraction, size: int, dim: int) -> Verdict:
-    """dim <= (2(1-1/p))**-1 gamma**-1 log2(size), cleared to integers."""
+    """dim <= (2(1-1/p))**-1 gamma**-1 log2(size), cleared to size**(p*b) >= 4**((p-1)*a*dim)."""
     a, b = gamma.numerator, gamma.denominator
-    lhs = 4 ** ((p - 1) * a * dim)
-    rhs = size ** (p * b)
-    return Verdict(lhs <= rhs, False, lhs == rhs)
+    return cleared_verdict(((size, p * b),), ((4, (p - 1) * a * dim),))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def classify_popular_dim_exp3(gamma: Fraction, size: int, dim: int) -> Verdict:
-    """Sharper exponent-3 form: dim <= gamma**-1 log3(size)."""
+    """Sharper exponent-3 form: dim <= gamma**-1 log3(size), cleared to size**b >= 3**(a*dim)."""
     a, b = gamma.numerator, gamma.denominator
-    lhs = 3 ** (a * dim)
-    rhs = size**b
-    return Verdict(lhs <= rhs, False, lhs == rhs)
+    return cleared_verdict(((size, b),), ((3, a * dim),))
 
 
 def popular_dim_verdict(spec: GroupSpec, gamma: Fraction, size: int, dim: int) -> Verdict:

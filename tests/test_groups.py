@@ -407,6 +407,22 @@ def test_cyclic_closure_matches_repeated_addition(moduli):
     assert GroupSpec(moduli)._cyclic_cache == {}  # a new instance starts cold
 
 
+@pytest.mark.parametrize("moduli", [(2, 3, 4), (4,) * 7])
+def test_block_rolls_match_a_fresh_per_element_computation(moduli):
+    spec = GroupSpec(moduli)
+    full = (1 << spec.order) - 1
+    for axis, (stride, m) in enumerate(zip(spec.strides, spec.moduli)):
+        for c in range(1, m):
+            # the elements whose coordinate on this axis stays below m - c
+            keep = sum(1 << x for x in range(spec.order) if x // stride % m < m - c)
+            roll = spec.block_roll(axis, c)
+            assert roll == (keep, full ^ keep, c * stride, (m - c) * stride), (axis, c)
+            assert spec.block_roll(axis, c) is roll  # cached on the instance
+    g = spec.element_at(spec.order - 1)
+    assert spec.shift_table(g)._rolls == tuple(spec.block_roll(i, c) for i, c in enumerate(g.coords))
+    assert GroupSpec(moduli)._roll_cache == {}  # a new instance starts cold
+
+
 # -- span against breadth-first closure -----------------------------------------
 
 

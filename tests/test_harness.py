@@ -31,7 +31,10 @@ from isoperim import (
     run_verify,
     span,
 )
+from isoperim import harness
 from isoperim.harness import GeneratorPolicy
+from isoperim.groups import min_nonzero_order
+from isoperim.popular import dim_independent, popular_diffs, popular_dim_verdict
 
 
 def test_splitmix64_reference_vectors():
@@ -300,6 +303,62 @@ def test_repa_plan_equality_replay():
     assert report.passed
     for w in report.violations + report.equality_witnesses:
         assert replay_witness(w)
+
+
+def reference_repa_report(plan):
+    """Reference: the repa runner as a loop that searches the dimension of every popular set it meets."""
+    spec = GroupSpec(plan.moduli)
+    if plan.mode == "sample":
+        rng = SplitMix64(plan.seed)
+        masks = [rng.nonempty_mask(spec.order) for _ in range(plan.sample_size)]
+    else:
+        masks = range(1, 1 << spec.order)
+    variant = "exp3" if spec.exponent == 3 else f"general-p{min_nonzero_order(spec)}"
+    violations, equalities, popular = [], [], []
+    for mask in masks:
+        A = GroupSet(spec, mask)
+        for gamma in plan.gammas:
+            P = popular_diffs(A, gamma)
+            popular.append(P.mask)
+            dim = dim_independent(P, cap=plan.dim_cap).value
+            v = popular_dim_verdict(spec, gamma, len(A), dim)
+            if not v.ok or v.equality:
+                witness = {
+                    "kind": "violation" if not v.ok else "equality",
+                    "check": "repa",
+                    "group": spec.to_obj(),
+                    "set": [list(e.coords) for e in A.elements()],
+                    "gamma": str(Fraction(gamma)),
+                    "size": len(A),
+                    "popular_size": len(P),
+                    "dim_independent": dim,
+                    "variant": variant,
+                }
+                (violations if not v.ok else equalities).append(witness)
+    return violations, equalities, popular
+
+
+@pytest.mark.parametrize(
+    "moduli, mode", [((2,) * 5, "sample"), ((3,) * 3, "sample"), ((2, 4, 4), "sample"), ((2, 2, 2), "exhaustive")]
+)
+def test_repa_searches_each_popular_set_once(monkeypatch, moduli, mode):
+    plan = VerifyPlan(
+        theorem="repa", moduli=moduli, mode=mode, sample_size=30 if mode == "sample" else 0, seed=5,
+        gammas=(Fraction(1, 4), Fraction(1, 2), Fraction(1)), dim_cap=prod(moduli),
+    )
+    violations, equalities, popular = reference_repa_report(plan)
+    searched = []
+
+    def counted(P, cap):
+        searched.append(P.mask)
+        return dim_independent(P, cap)
+
+    monkeypatch.setattr(harness, "dim_independent", counted)
+    report = run_verify(plan)
+    assert report.violations == violations and report.equality_witnesses == equalities
+    assert report.cases_checked == len(popular)
+    # one search per distinct popular set, and the sets repeat
+    assert sorted(searched) == sorted(set(popular)) and len(searched) < len(popular)
 
 
 def test_plan_json_roundtrip():
