@@ -1,14 +1,19 @@
 """Compression of group subsets along independent generators.
 
-Fix an independent generating sequence s_1, ..., s_n.  For each i the group
-splits as <S_i> + <s_i> with S_i the other generators, so every subset can be
-restacked inside each <s_i>-coset towards the coset's initial segment without
-changing per-coset counts.  Restacking never increases the edge boundary, and
-a set that is stacked along every generator embeds into the non-negative
-integer lattice as a downset.
+Fix an independent generating sequence s_1, ..., s_n with d_i = ord(s_i).
+Every element is z_1 s_1 + ... + z_n s_n for exactly one z in the box
+[0, d_1) x ... x [0, d_n), so the group splits as <S_i> + <s_i> with S_i the
+other generators, and the <s_i>-cosets are the lines of the box along axis i.
+Compressing along s_i restacks a subset onto the initial segment of every
+such line without changing per-coset counts.  Restacking never increases the
+edge boundary, and a set that is stacked along every generator embeds into
+the non-negative integer lattice as a downset.  ``CompressionContext`` keeps
+the box as one array of element indices, and every kernel works on it.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -18,7 +23,6 @@ from .groups import (
     GroupSet,
     SpecMismatchError,
     is_independent,
-    iter_bits,
     order_of,
     span,
 )
@@ -43,12 +47,17 @@ def progression(g: Element, v: Element, k: int) -> GroupSet:
 
 
 class CompressionContext:
-    """Precomputed coset structure for compressing along one generator sequence.
+    """The box decomposition of the group along one independent generating sequence.
 
-    Holds, for every position i: the complementary subgroup <S_i> as a bitmask,
-    the ordered <s_i>-cosets (index tuples walking g, g+s_i, ...), prefix masks
-    of every coset, and the coordinate of each group element in the unique
-    decomposition g = h + k*s_i.  Immutable and shareable once built.
+    With d_i = ord(s_i), ``box`` is the box [0, d_1) x ... x [0, d_n) stored
+    flat in C order, holding at z the element index of z_1 s_1 + ... + z_n s_n,
+    and ``place`` is its inverse permutation.  Viewed with shape
+    (d_1*...*d_{i-1}, d_i, d_{i+1}*...*d_n), the lines of the box along the middle
+    axis are the <s_i>-cosets walked h, h + s_i, ... from their member h in
+    <S_i>, the span of the other generators, whose mask is ``sub_masks[i]``.
+    The mask kernels unpack a mask into box order, count or restack along the
+    middle axis, and pack the result back: O(|G|) numpy work and memory per
+    call, whatever the generator orders.  Immutable and shareable once built.
     """
 
     def __init__(self, S: GeneratorSeq):
@@ -62,46 +71,29 @@ class CompressionContext:
         self.spec = spec
         self.gens = S
         self.orders = tuple(order_of(s) for s in S)
-
         sub_masks = []
-        cosets_per_axis = []
-        prefix_per_axis = []
-        kcoord_per_axis = []
-        for i, s in enumerate(S):
+        for i, d in enumerate(self.orders):
             sub = span(S.drop(i))
-            d = self.orders[i]
             if len(sub) * d != spec.order:
                 raise ValueError("direct decomposition failed; generators are degenerate")
-            perm = spec.add_perm(s)
-            kcoord = [0] * spec.order
-            cosets = []
-            prefixes = []
-            covered = 0
-            for h in iter_bits(sub.mask):
-                chain = []
-                r = h
-                for k in range(d):
-                    chain.append(r)
-                    kcoord[r] = k
-                    r = perm[r]
-                cosets.append(tuple(chain))
-                pref = [0]
-                acc = 0
-                for r in chain:
-                    acc |= 1 << r
-                    pref.append(acc)
-                prefixes.append(pref)
-                covered |= acc
-            if covered != (1 << spec.order) - 1:
-                raise ValueError("coset chains do not cover the group")
             sub_masks.append(sub.mask)
-            cosets_per_axis.append(tuple(cosets))
-            prefix_per_axis.append(tuple(tuple(p) for p in prefixes))
-            kcoord_per_axis.append(tuple(kcoord))
         self.sub_masks = tuple(sub_masks)
-        self.cosets = tuple(cosets_per_axis)
-        self.prefixes = tuple(prefix_per_axis)
-        self.kcoords = tuple(kcoord_per_axis)
+        self._line_shapes = tuple(
+            (prod(self.orders[:i]), d, prod(self.orders[i + 1:])) for i, d in enumerate(self.orders)
+        )
+        # coordinate j of the element at z is sum_i z_i * s_i[j] mod m_j: one mixed-radix digit per
+        # factor, summed over the axes with s_i[j] != 0 and broadcast along the others
+        n = len(S)
+        zs = [np.arange(d).reshape([-1 if a == i else 1 for a in range(n)]) for i, d in enumerate(self.orders)]
+        box = np.zeros(self.orders, dtype=np.intp)
+        for stride, m, column in zip(spec.strides, spec.moduli, zip(*(s.coords for s in S))):
+            box += sum(z * c for z, c in zip(zs, column) if c) % m * stride
+        self.box = box.ravel()
+        self.place = np.empty_like(self.box)
+        self.place[self.box] = np.arange(spec.order)
+        self.box.setflags(write=False)
+        self.place.setflags(write=False)
+        self._nbytes = (spec.order + 7) // 8
         self._shifters = tuple(spec.shift_table(s) for s in S)
         self._full = (1 << spec.order) - 1
         self._array_prefixes: list | None = None
@@ -113,16 +105,28 @@ class CompressionContext:
         if not 0 <= i < len(self.gens):
             raise IndexError(f"generator index {i} outside [0, {len(self.gens)})")
 
-    # -- mask kernels (hot path of exhaustive sweeps) -------------------------
+    # -- mask kernels (hot path of sampled plans) ------------------------------
+
+    def _unpack(self, mask: int) -> np.ndarray:
+        """The bits of ``mask`` in box order, as a flat uint8 array."""
+        raw = np.frombuffer(mask.to_bytes(self._nbytes, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.spec.order, bitorder="little")[self.box]
+
+    def _pack(self, bits: np.ndarray) -> int:
+        """The mask whose bits, in box order, are ``bits``; inverse of ``_unpack``."""
+        out = np.packbits(bits.ravel()[self.place], bitorder="little")
+        return int.from_bytes(out.tobytes(), "little")
+
+    def _coset_sizes(self, bits: np.ndarray, i: int) -> np.ndarray:
+        """Set bits of box-order ``bits`` in every <s_i>-coset, as an array of the two outer axes."""
+        return np.add.reduce(bits.reshape(self._line_shapes[i]), axis=1)
+
+    def _restack(self, bits: np.ndarray, i: int) -> np.ndarray:
+        """Box-order bits restacked along axis i: each line keeps its count, at its start."""
+        return np.arange(self.orders[i])[:, None] < self._coset_sizes(bits, i)[:, None, :]
 
     def compress_mask(self, mask: int, i: int) -> int:
-        out = 0
-        for coset, pref in zip(self.cosets[i], self.prefixes[i]):
-            count = 0
-            for r in coset:
-                count += (mask >> r) & 1
-            out |= pref[count]
-        return out
+        return self._pack(self._restack(self._unpack(mask), i))
 
     def is_compressed_mask(self, mask: int, i: int) -> bool:
         # definitional form: A \ <S_i>  is contained in  A + s_i
@@ -130,9 +134,10 @@ class CompressionContext:
         return outside & ~self._shifters[i].apply(mask) == 0
 
     def full_compress_mask(self, mask: int) -> int:
+        bits = self._unpack(mask)
         for i in range(len(self.gens)):
-            mask = self.compress_mask(mask, i)
-        return mask
+            bits = self._restack(bits, i)
+        return self._pack(bits)
 
     def boundary_count_mask(self, mask: int, j: int) -> int:
         """|{a in mask : a + s_j not in mask}| for one generator."""
@@ -146,10 +151,12 @@ class CompressionContext:
         if self._array_prefixes is None:
             if self.spec.order > 32:
                 raise ValueError("array kernels need a group of at most 32 elements")
-            self._array_prefixes = [
-                [(np.uint32(pref[-1]), np.array(pref, dtype=np.uint32)) for pref in prefixes]
-                for prefixes in self.prefixes
-            ]
+            self._array_prefixes = []
+            for pre, d, post in self._line_shapes:
+                lines = self.box.reshape(pre, d, post).transpose(0, 2, 1).reshape(-1, d)
+                prefixes = np.zeros((len(lines), d + 1), dtype=np.uint32)
+                np.cumsum(np.uint32(1) << lines.astype(np.uint32), axis=1, out=prefixes[:, 1:])
+                self._array_prefixes.append([(pref[-1], pref) for pref in prefixes])
         return self._array_prefixes[i]
 
     def compress_array(self, masks: np.ndarray, i: int) -> np.ndarray:
@@ -167,9 +174,6 @@ class CompressionContext:
     def boundary_count_array(self, masks: np.ndarray, j: int) -> np.ndarray:
         """``boundary_count_mask`` on every entry, as a uint8 array."""
         return np.bitwise_count(self._shifters[j].apply_array(masks) & ~masks)
-
-    def weight_of_index(self, r: int) -> int:
-        return sum(1 for kc in self.kcoords if kc[r] != 0)
 
 
 def compress_along(A: GroupSet, ctx: CompressionContext, i: int) -> GroupSet:
@@ -214,8 +218,8 @@ def phi_embed(A: GroupSet, ctx: CompressionContext) -> LatticeSet:
     for i in range(len(ctx)):
         if not ctx.is_compressed_mask(A.mask, i):
             raise ValueError(f"set is not compressed along generator {i}")
-    points = [tuple(kc[r] for kc in ctx.kcoords) for r in iter_bits(A.mask)]
-    return LatticeSet(len(ctx), points)
+    coords = np.unravel_index(np.flatnonzero(ctx._unpack(A.mask)), ctx.orders)
+    return LatticeSet(len(ctx), zip(*(c.tolist() for c in coords)))
 
 
 def coset_counts(A: GroupSet, ctx: CompressionContext, i: int) -> tuple[int, int]:
@@ -223,21 +227,12 @@ def coset_counts(A: GroupSet, ctx: CompressionContext, i: int) -> tuple[int, int
     ctx._check_axis(i)
     if A.spec != ctx.spec:
         raise SpecMismatchError("set and compression context disagree on the group")
-    touched = 0
-    full = 0
-    mask = A.mask
-    for pref in ctx.prefixes[i]:
-        coset_mask = pref[-1]
-        inter = mask & coset_mask
-        if inter:
-            touched += 1
-            if inter == coset_mask:
-                full += 1
-    return touched, full
+    sizes = ctx._coset_sizes(ctx._unpack(A.mask), i)
+    return int(np.count_nonzero(sizes)), int(np.count_nonzero(sizes == ctx.orders[i]))
 
 
 def group_weight(g: Element, ctx: CompressionContext) -> int:
     """Number of non-zero coordinates of g in the generator decomposition."""
     if g.spec != ctx.spec:
         raise SpecMismatchError("element and compression context disagree on the group")
-    return ctx.weight_of_index(ctx.spec.index_of(g))
+    return sum(1 for c in np.unravel_index(ctx.place[ctx.spec.index_of(g)], ctx.orders) if c)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from isoperim import (
@@ -9,6 +13,8 @@ from isoperim import (
     GeneratorSeq,
     GroupSet,
     GroupSpec,
+    LatticeSet,
+    VerifyPlan,
     compress_along,
     coset_counts,
     edge_boundary,
@@ -18,9 +24,12 @@ from isoperim import (
     is_downset,
     phi_embed,
     progression,
+    run_verify,
     weight_stats,
 )
-from isoperim.groups import order_of, span
+from isoperim.groups import iter_bits, order_of, span
+from isoperim.harness import draw_generating_seq
+from isoperim.prng import SplitMix64
 
 
 def make_ctx(moduli, coords=None):
@@ -43,6 +52,149 @@ def brute_force_compress(A, ctx, i):
         count = len(A & coset)
         out = out | progression(h, s, count)
     return out
+
+
+class ChainReference:
+    """Oracle: the per-element coset chains that compression used before the box array.
+
+    For every axis i it walks each <s_i>-coset h, h + s_i, ... from its member h
+    in <S_i> with the ``add_perm`` permutation of s_i, recording the chain and
+    the coordinate k of every element h + k*s_i.  Restacking a coset keeps the
+    first ``count`` elements of its chain.
+    """
+
+    def __init__(self, gens):
+        spec = gens.spec
+        self.order = spec.order
+        self.chains = []
+        self.kcoords = []
+        for i, s in enumerate(gens):
+            perm = spec.add_perm(s)
+            d = order_of(s)
+            kcoord = [None] * spec.order
+            chains = []
+            for h in iter_bits(span(gens.drop(i)).mask):
+                chain = []
+                r = h
+                for k in range(d):
+                    chain.append(r)
+                    kcoord[r] = k
+                    r = perm[r]
+                chains.append(tuple(chain))
+            assert None not in kcoord, "coset chains do not cover the group"
+            self.chains.append(chains)
+            self.kcoords.append(kcoord)
+
+    def _counts(self, mask, i):
+        bits = [int(b) for b in reversed(format(mask, f"0{self.order}b"))]
+        return [sum(bits[r] for r in chain) for chain in self.chains[i]]
+
+    def compress(self, mask, i):
+        out = [0] * self.order
+        for chain, count in zip(self.chains[i], self._counts(mask, i)):
+            for r in chain[:count]:
+                out[r] = 1
+        return int("".join(map(str, reversed(out))), 2)
+
+    def compress_array(self, masks, i):
+        out = np.zeros_like(masks)
+        for chain in self.chains[i]:
+            count = sum((masks >> np.uint32(r)) & np.uint32(1) for r in chain)
+            for k, r in enumerate(chain):
+                out |= (count > k).astype(np.uint32) << np.uint32(r)
+        return out
+
+    def coset_counts(self, mask, i):
+        counts = self._counts(mask, i)
+        return sum(1 for c in counts if c), sum(1 for c, chain in zip(counts, self.chains[i]) if c == len(chain))
+
+    def point(self, r):
+        return tuple(kc[r] for kc in self.kcoords)
+
+    def weight(self, r):
+        return sum(1 for c in self.point(r) if c)
+
+
+def _standard(moduli):
+    spec = GroupSpec(moduli)
+    return pytest.param(spec, spec.standard_basis(), id=f"{spec!r}-standard")
+
+
+def _bases(moduli, seed):
+    """The standard basis and one drawn independent generating sequence of the group."""
+    spec = GroupSpec(moduli)
+    drawn = draw_generating_seq(spec, SplitMix64(seed), len(moduli), independent=True)
+    return [_standard(moduli), pytest.param(spec, drawn, id=f"{spec!r}-drawn")]
+
+
+def _assert_mask_kernels_match(ctx, ref, masks):
+    for mask in masks:
+        A = GroupSet(ctx.spec, mask)
+        for i in range(len(ctx)):
+            assert ctx.compress_mask(mask, i) == ref.compress(mask, i)
+            assert coset_counts(A, ctx, i) == ref.coset_counts(mask, i)
+
+
+def _assert_embedding_matches(ctx, ref, stacked_masks, elements):
+    for mask in stacked_masks:
+        assert phi_embed(GroupSet(ctx.spec, mask), ctx) == LatticeSet(len(ctx), map(ref.point, iter_bits(mask)))
+    for r in elements:
+        assert group_weight(ctx.spec.element_at(r), ctx) == ref.weight(r)
+
+
+@pytest.mark.parametrize(
+    "spec, gens",
+    [basis for seed, moduli in enumerate([(2, 2, 2, 2), (4, 4), (2, 8), (3, 3), (2, 2, 3)]) for basis in _bases(moduli, seed)],
+)
+def test_box_kernels_match_chain_reference_on_every_mask(spec, gens):
+    ctx = CompressionContext(gens)
+    ref = ChainReference(gens)
+    masks = np.arange(1 << spec.order, dtype=np.uint32)
+    stacked = masks
+    for i in range(len(gens)):
+        assert np.array_equal(ctx.compress_array(masks, i), ref.compress_array(masks, i))
+        stacked = ref.compress_array(stacked, i)
+    # a per-mask kernel call costs microseconds: every mask up to 12 elements,
+    # a seeded 1/32 of the masks of the 16-element groups
+    per_mask = masks.tolist() if spec.order <= 12 else random.Random(spec.order).sample(masks.tolist(), 1 << 11)
+    _assert_mask_kernels_match(ctx, ref, per_mask)
+    _assert_embedding_matches(ctx, ref, np.unique(stacked).tolist(), range(spec.order))
+
+
+@pytest.mark.parametrize(
+    "spec, gens",
+    [_standard(m) for m in [(2,) * 14, (4,) * 7, (4096,), (256, 16)]] + _bases((2, 4, 4), 7) + _bases((3, 3, 3), 8),
+)
+def test_box_kernels_match_chain_reference_on_seeded_masks(spec, gens):
+    ctx = CompressionContext(gens)
+    ref = ChainReference(gens)
+    rng = random.Random(spec.order)
+    masks = [rng.getrandbits(spec.order) for _ in range(2)]
+    _assert_mask_kernels_match(ctx, ref, masks)
+    stacked = []
+    for mask in masks:
+        for i in range(len(gens)):
+            mask = ref.compress(mask, i)
+        stacked.append(mask)
+    _assert_embedding_matches(ctx, ref, stacked, range(0, spec.order, 7))
+    if spec.order <= 32:
+        arr = np.array(masks, dtype=np.uint32)
+        for i in range(len(gens)):
+            assert np.array_equal(ctx.compress_array(arr, i), ref.compress_array(arr, i))
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 16, (65536,)], ids=["C2^16", "C65536"])
+def test_one_case_claims_sample_on_2_16_elements_stays_small(moduli):
+    plan = VerifyPlan(theorem="claims-compression", moduli=moduli, mode="sample", sample_size=1, seed=11)
+    tracemalloc.start()
+    try:
+        report = run_verify(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cases_checked == 1
+    assert not report.violations
+    assert peak < 64 << 20
 
 
 def test_context_validates_inputs():

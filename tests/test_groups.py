@@ -254,6 +254,29 @@ def test_translate_and_negate():
     assert {e.coords for e in A.negate()} == {(0, 0), (2, 1)}
 
 
+def _negate_by_elements(A):
+    """Oracle: reflect A one element at a time."""
+    spec = A.spec
+    return GroupSet.from_indices(spec, (spec.index_of(-spec.element_at(r)) for r in A.indices()))
+
+
+def test_negate_every_mask_c3xc4():
+    spec = GroupSpec([3, 4])
+    for mask in range(1 << spec.order):
+        A = GroupSet(spec, mask)
+        assert A.negate() == _negate_by_elements(A)
+
+
+@pytest.mark.parametrize("moduli", [(4,) * 7, (5, 8)])
+def test_negate_seeded_masks(moduli):
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(sum(moduli))
+    for _ in range(3):
+        A = GroupSet(spec, rng.mask_bits(spec.order))
+        assert A.negate() == _negate_by_elements(A)
+        assert A.negate().negate() == A
+
+
 def brute_force_cosets(A, H):
     """Oracle: sort members of A into cosets by pairwise difference membership."""
     buckets = []
