@@ -28,7 +28,7 @@ from .groups import (
     SpecMismatchError,
     is_independent,
     order_of,
-    span,
+    span_order,
 )
 
 
@@ -276,7 +276,7 @@ def classify_subgroup_bound(h_order: int, h_rank: int, size: int, boundary: int)
 def _require_generating_small_exponent(check: str, spec: GroupSpec, gens: GeneratorSeq) -> None:
     if not spec.is_homocyclic or spec.exponent not in (2, 3, 4):
         raise ValueError(f"{check} needs a homocyclic group of exponent 2, 3 or 4")
-    if len(span(gens)) != spec.order:
+    if span_order(gens) != spec.order:
         raise ValueError(f"{check} needs a generating sequence")
 
 
@@ -315,7 +315,7 @@ def subgroup_bound_params(spec: GroupSpec, gens: GeneratorSeq) -> tuple[int, int
         raise ValueError("cosetdecomp needs group exponent 2 or 3")
     if len(gens) == 0:
         raise ValueError("cosetdecomp needs a non-empty sequence")
-    h_order = len(span(gens))
+    h_order = span_order(gens)
     return h_order, subgroup_rank(h_order, spec.exponent)
 
 

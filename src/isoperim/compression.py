@@ -22,9 +22,8 @@ from .groups import (
     GeneratorSeq,
     GroupSet,
     SpecMismatchError,
-    is_independent,
     order_of,
-    span,
+    span_order,
 )
 from .lattice import LatticeSet
 
@@ -64,20 +63,14 @@ class CompressionContext:
         spec = S.spec
         if len(S) == 0:
             raise ValueError("compression needs at least one generator")
-        if not is_independent(S):
+        self.orders = tuple(order_of(s) for s in S)
+        h_order = span_order(S)
+        if h_order != prod(self.orders):
             raise ValueError("generator sequence must be independent")
-        if len(span(S)) != spec.order:
+        if h_order != spec.order:
             raise ValueError("generator sequence must generate the group")
         self.spec = spec
         self.gens = S
-        self.orders = tuple(order_of(s) for s in S)
-        sub_masks = []
-        for i, d in enumerate(self.orders):
-            sub = span(S.drop(i))
-            if len(sub) * d != spec.order:
-                raise ValueError("direct decomposition failed; generators are degenerate")
-            sub_masks.append(sub.mask)
-        self.sub_masks = tuple(sub_masks)
         self._line_shapes = tuple(
             (prod(self.orders[:i]), d, prod(self.orders[i + 1:])) for i, d in enumerate(self.orders)
         )
@@ -94,6 +87,16 @@ class CompressionContext:
         self.box.setflags(write=False)
         self.place.setflags(write=False)
         self._nbytes = (spec.order + 7) // 8
+        # <S_i> is the plane z_i = 0 of the box
+        sub_masks = []
+        for i, d in enumerate(self.orders):
+            plane = np.zeros(self._line_shapes[i], dtype=np.uint8)
+            plane[:, 0, :] = 1
+            sub = self._pack(plane)
+            if sub.bit_count() * d != spec.order:
+                raise ValueError("direct decomposition failed; generators are degenerate")
+            sub_masks.append(sub)
+        self.sub_masks = tuple(sub_masks)
         self._shifters = tuple(spec.shift_table(s) for s in S)
         self._full = (1 << spec.order) - 1
         self._array_prefixes: list | None = None

@@ -10,6 +10,12 @@ Translating a set by g rolls the blocks of each factor with g_i != 0 inside
 the mask (``Shifter``), so it costs a few whole-mask operations per factor
 and no per-element work; ``add_perm`` and ``translate_mask`` remain as the
 per-element reference.
+
+Questions about the order of a span alone (does S generate G, is S
+independent, how large is <S>) are decided from coordinates by integer
+elimination (``span_order``), with no mask and no per-element work.  The
+mask ``span`` is built only where the set itself is needed, and it serves as
+the oracle for ``span_order``.
 """
 
 from __future__ import annotations
@@ -205,7 +211,8 @@ class GroupSpec:
             raise SpecMismatchError(f"element of {g.spec!r} indexed in {self!r}")
         return sum(c * s for c, s in zip(g.coords, self.strides))
 
-    def element_at(self, index: int) -> Element:
+    def coords_at(self, index: int) -> tuple[int, ...]:
+        """Coordinates of the element with the given index: its mixed-radix digits."""
         if not 0 <= index < self.order:
             raise ValueError(f"index {index} outside [0, {self.order})")
         coords = []
@@ -213,7 +220,10 @@ class GroupSpec:
         for m in self.moduli:
             r, c = divmod(r, m)
             coords.append(c)
-        return Element(self, tuple(coords))
+        return tuple(coords)
+
+    def element_at(self, index: int) -> Element:
+        return Element(self, self.coords_at(index))
 
     def elements(self) -> Iterator[Element]:
         for r in range(self.order):
@@ -534,9 +544,77 @@ def add(g: Element, h: Element) -> Element:
     return g + h
 
 
+def coords_order(moduli: Sequence[int], coords: Sequence[int]) -> int:
+    """Order of the element with the given coordinates in C_m1 + ... + C_mn."""
+    return lcm(*(m // gcd(c, m) for c, m in zip(coords, moduli)))
+
+
 def order_of(g: Element) -> int:
     """Least k >= 1 with k*g = 0."""
-    return lcm(*(m // gcd(c, m) for c, m in zip(g.coords, g.spec.moduli)))
+    return coords_order(g.spec.moduli, g.coords)
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b), for a > 0 and b >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return a, u0, v0
+
+
+def coords_span_order(moduli: Sequence[int], rows: Iterable[Sequence[int]]) -> int:
+    """|<S>| in C_m1 + ... + C_mn for the elements S with the given coordinate rows.
+
+    <S> is L / M for the lattice L spanned by the rows and the relation rows
+    m_j e_j, and M the lattice of the relation rows alone, so |<S>| =
+    det M / det L.  Triangularising L column by column with extended-gcd row
+    operations (the Hermite normal form index, Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4) gives det L as the product of the pivots.
+    Column k starts its pivot row as the relation row m_k e_k, so every pivot
+    divides m_k and every entry of column j may be reduced mod m_j.  Each
+    pivot row is dropped once its column is done; a row with a zero entry
+    there is carried to the next column.  O(n^2 |S|) small-integer steps.
+    """
+    mods = tuple(moduli)
+    n = len(mods)
+    rows = [list(row) for row in rows]
+    order = 1
+    for k, m in enumerate(mods):
+        pivot = [0] * n  # the pivot row; it starts as m e_k, whose entry lead is kept apart
+        lead = m
+        carried = []
+        for row in rows:
+            x = row[k] % m
+            if not x:
+                carried.append(row)
+                continue
+            if x % lead:
+                g, u, v = _ext_gcd(lead, x)
+                a, b = lead // g, x // g
+                # unimodular: (u, v; -b, a) has determinant u*a + v*b = 1
+                for j in range(k + 1, n):
+                    p, r, mj = pivot[j], row[j], mods[j]
+                    pivot[j] = (u * p + v * r) % mj
+                    row[j] = (a * r - b * p) % mj
+                lead = g
+            else:
+                q = x // lead
+                for j in range(k + 1, n):
+                    row[j] = (row[j] - q * pivot[j]) % mods[j]
+            row[k] = 0
+            if any(row):
+                carried.append(row)
+        order *= m // lead
+        rows = carried
+    return order
+
+
+def span_order(gens: GeneratorSeq) -> int:
+    """|span(gens)|, by integer elimination on the coordinates (``coords_span_order``)."""
+    return coords_span_order(gens.spec.moduli, (s.coords for s in gens))
 
 
 def span(gens: GeneratorSeq) -> GroupSet:
@@ -557,7 +635,7 @@ def is_independent(gens: GeneratorSeq) -> bool:
 
     For finite groups this is equivalent to |span(S)| = prod(ord(s)).
     """
-    return len(span(gens)) == prod(order_of(s) for s in gens)
+    return span_order(gens) == prod(order_of(s) for s in gens)
 
 
 def _least_prime_factor(n: int) -> int:

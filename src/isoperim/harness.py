@@ -31,10 +31,12 @@ import numpy as np
 from .boundary import BOUNDARY_THEOREMS, Verdict, boundary_counts, cleared_verdict, edge_boundary, power_product
 from .compression import CompressionContext
 from .groups import (
+    Element,
     GeneratorSeq,
     GroupSet,
     GroupSpec,
-    is_independent,
+    coords_order,
+    coords_span_order,
     iter_bits,
     min_generators,
     min_nonzero_order,
@@ -338,12 +340,14 @@ def draw_generating_seq(
         idxs = [rng.below(spec.order) for _ in range(count)]
         if len(set(idxs)) != count:
             continue
-        seq = GeneratorSeq(spec, tuple(spec.element_at(r) for r in idxs))
-        if len(span(seq)) != spec.order:
+        rows = [spec.coords_at(r) for r in idxs]
+        h_order = coords_span_order(spec.moduli, rows)
+        if h_order != spec.order:
             continue
-        if independent and not is_independent(seq):
+        # S generates G, so S is independent iff prod ord(s) = |<S>| = |G|
+        if independent and prod(coords_order(spec.moduli, row) for row in rows) != h_order:
             continue
-        return seq
+        return GeneratorSeq(spec, tuple(Element(spec, row) for row in rows))
     kind = "independent generating" if independent else "generating"
     raise ValueError(f"no {kind} sequence of {count} elements of {spec!r} in {GENERATOR_DRAW_LIMIT} draws")
 

@@ -213,6 +213,17 @@ def test_context_direct_decomposition():
         assert ctx.sub_masks[i].bit_count() * ctx.orders[i] == spec.order
 
 
+@pytest.mark.parametrize(
+    "spec, gens",
+    [basis for seed, moduli in enumerate([(2, 2, 3), (2, 4, 4), (3, 3, 3), (4,) * 5, (2, 8, 16)]) for basis in _bases(moduli, seed)],
+)
+def test_sub_masks_are_the_spans_of_the_other_generators(spec, gens):
+    # sub_masks are read off the box (the plane z_i = 0); the mask span is the oracle
+    ctx = CompressionContext(gens)
+    for i in range(len(gens)):
+        assert GroupSet(spec, ctx.sub_masks[i]) == span(gens.drop(i)), i
+
+
 def test_progression_examples():
     spec = GroupSpec([2, 4])
     v = spec.element([0, 1])

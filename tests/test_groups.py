@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,16 @@ from isoperim import (
     order_of,
     span,
 )
-from isoperim.groups import MAX_ORDER_ENV, min_generators, p_ranks, translate_mask
+from isoperim.groups import (
+    MAX_ORDER_ENV,
+    coords_span_order,
+    min_generators,
+    p_ranks,
+    span_order,
+    translate_mask,
+)
 from isoperim.prng import SplitMix64
+from test_compare import invariant_factor_groups
 
 
 def brute_force_order(g):
@@ -522,3 +532,74 @@ def test_span_terminates_on_odd_order_elements(moduli):
         assert bounded_span(gens) == bfs_span(gens)
     pair = GeneratorSeq(spec, (spec.element_at(1), spec.element_at(spec.order - 1)))
     assert bounded_span(pair) == bfs_span(pair)
+
+
+# -- span_order against the mask span -----------------------------------------------
+
+NON_CANONICAL = [(6,), (2, 3, 4), (4, 6, 8), (12, 18)]
+
+
+def drawn_sequence(spec, rng, length):
+    """Up to ``length`` distinct elements in draw order; index 0 (the zero element) may be among them."""
+    idx = dict.fromkeys(rng.below(spec.order) for _ in range(length))
+    return GeneratorSeq(spec, [spec.element_at(r) for r in idx])
+
+
+@pytest.mark.parametrize("moduli", invariant_factor_groups(16))
+def test_span_order_on_every_short_sequence(moduli):
+    # every ordered sequence of at most 3 distinct elements; the span depends only on the set
+    spec = GroupSpec(moduli)
+    elems = list(spec.elements())
+    for size in range(4):
+        for combo in combinations(elems, size):
+            want = len(span(GeneratorSeq(spec, combo)))
+            for seq in permutations(combo):
+                assert span_order(GeneratorSeq(spec, seq)) == want, seq
+
+
+@pytest.mark.parametrize("moduli", invariant_factor_groups(64) + NON_CANONICAL)
+def test_span_order_on_drawn_sequences(moduli):
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(spec.order + len(moduli))
+    for i in range(200):
+        gens = drawn_sequence(spec, rng, 1 + i % 6)
+        assert span_order(gens) == len(span(gens)), gens
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (4, 4), (2, 8), (3, 3)])
+def test_is_independent_on_every_subset(moduli):
+    # the mask span of each subset closes the span of the subset without its last element under that element
+    spec = GroupSpec(moduli)
+    elems = list(spec.elements())
+    spans = [1] * (1 << spec.order)
+    order_prods = [1] * (1 << spec.order)
+    for bits in range(1, 1 << spec.order):
+        top = bits.bit_length() - 1
+        H = spans[bits ^ 1 << top]
+        for sh in spec.cyclic_closure(top)[1]:
+            H |= sh.apply(H)
+        spans[bits] = H
+        order_prods[bits] = order_prods[bits ^ 1 << top] * order_of(elems[top])
+        gens = GeneratorSeq(spec, [elems[r] for r in range(top + 1) if bits >> r & 1])
+        assert is_independent(gens) == (H.bit_count() == order_prods[bits]), gens
+
+
+@pytest.mark.parametrize(
+    "moduli", [(2,) * 14, (4,) * 7, (2, 2, 4, 4, 4, 16), (65536,)], ids=["C2^14", "C4^7", "C2^2xC4^3xC16", "C65536"]
+)
+def test_span_order_on_large_groups(moduli):
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(len(moduli))
+    for length in range(1, len(moduli) + 3):
+        gens = drawn_sequence(spec, rng, length)
+        with_zero = GeneratorSeq(spec, (spec.zero(),) + tuple(g for g in gens if not g.is_zero))
+        for seq in (gens, with_zero):
+            assert span_order(seq) == len(span(seq)), seq
+    assert span_order(spec.standard_basis()) == spec.order
+
+
+def test_coords_span_order_takes_unreduced_coordinates():
+    # rows need not be reduced: (5, -1) is (1, 3) in C4 + C4
+    assert coords_span_order((4, 4), [(5, -1)]) == 4
+    assert coords_span_order((4, 4), [(4, 8), (0, 0)]) == 1
+    assert coords_span_order((2, 4), []) == 1
