@@ -8,7 +8,8 @@ Compressing along s_i restacks a subset onto the initial segment of every
 such line without changing per-coset counts.  Restacking never increases the
 edge boundary, and a set that is stacked along every generator embeds into
 the non-negative integer lattice as a downset.  ``CompressionContext`` keeps
-the box as one array of element indices, and every kernel works on it.
+the box as one array of element indices, and every kernel works on it and
+takes either one int mask or a uint32 array of masks.
 """
 
 from __future__ import annotations
@@ -54,9 +55,11 @@ class CompressionContext:
     (d_1*...*d_{i-1}, d_i, d_{i+1}*...*d_n), the lines of the box along the middle
     axis are the <s_i>-cosets walked h, h + s_i, ... from their member h in
     <S_i>, the span of the other generators, whose mask is ``sub_masks[i]``.
-    The mask kernels unpack a mask into box order, count or restack along the
-    middle axis, and pack the result back: O(|G|) numpy work and memory per
-    call, whatever the generator orders.  Immutable and shareable once built.
+    Each mask kernel takes one int mask or, for a group of at most 32
+    elements, a uint32 array of masks and answers per entry.  An int is
+    unpacked into box order, counted or restacked along the middle axis, and
+    packed back: O(|G|) numpy work and memory per call, whatever the generator
+    orders.  Immutable and shareable once built.
     """
 
     def __init__(self, S: GeneratorSeq):
@@ -87,6 +90,8 @@ class CompressionContext:
         self.box.setflags(write=False)
         self.place.setflags(write=False)
         self._nbytes = (spec.order + 7) // 8
+        # 0 .. d_i - 1 down each line as np.uint, the dtype of a sum of uint8 bits, so restacking compares uncast
+        self._ranks = tuple(np.arange(d, dtype=np.uint)[:, None] for d in self.orders)
         # <S_i> is the plane z_i = 0 of the box
         sub_masks = []
         for i, d in enumerate(self.orders):
@@ -98,17 +103,21 @@ class CompressionContext:
             sub_masks.append(sub)
         self.sub_masks = tuple(sub_masks)
         self._shifters = tuple(spec.shift_table(s) for s in S)
-        self._full = (1 << spec.order) - 1
+        full = (1 << spec.order) - 1
+        self._outside = tuple(full & ~sub for sub in self.sub_masks)  # G \ <S_i>
         self._array_prefixes: list | None = None
 
     def __len__(self) -> int:
         return len(self.gens)
 
-    def _check_axis(self, i: int) -> None:
-        if not 0 <= i < len(self.gens):
+    def _check(self, A: GroupSet, i: int | None = None) -> None:
+        """Refuse a generator index outside the sequence, then a set of another group."""
+        if i is not None and not 0 <= i < len(self.gens):
             raise IndexError(f"generator index {i} outside [0, {len(self.gens)})")
+        if A.spec != self.spec:
+            raise SpecMismatchError("set and compression context disagree on the group")
 
-    # -- mask kernels (hot path of sampled plans) ------------------------------
+    # -- mask kernels: one int mask, or a uint32 array of masks -----------------
 
     def _unpack(self, mask: int) -> np.ndarray:
         """The bits of ``mask`` in box order, as a flat uint8 array."""
@@ -126,15 +135,20 @@ class CompressionContext:
 
     def _restack(self, bits: np.ndarray, i: int) -> np.ndarray:
         """Box-order bits restacked along axis i: each line keeps its count, at its start."""
-        return np.arange(self.orders[i])[:, None] < self._coset_sizes(bits, i)[:, None, :]
+        return self._ranks[i] < self._coset_sizes(bits, i)[:, None, :]
 
-    def compress_mask(self, mask: int, i: int) -> int:
-        return self._pack(self._restack(self._unpack(mask), i))
+    def compress_mask(self, masks: int | np.ndarray, i: int) -> int | np.ndarray:
+        """Restack along s_i: an int through the box, a uint32 array by coset counts and prefix masks."""
+        if isinstance(masks, int):
+            return self._pack(self._restack(self._unpack(masks), i))
+        out = np.zeros_like(masks)
+        for coset_mask, prefix in self._coset_prefix_arrays(i):
+            out |= prefix[np.bitwise_count(masks & coset_mask)]
+        return out
 
-    def is_compressed_mask(self, mask: int, i: int) -> bool:
+    def is_compressed_mask(self, masks: int | np.ndarray, i: int) -> bool | np.ndarray:
         # definitional form: A \ <S_i>  is contained in  A + s_i
-        outside = mask & ~self.sub_masks[i]
-        return outside & ~self._shifters[i].apply(mask) == 0
+        return masks & self._outside[i] & ~self._shifters[i].apply(masks) == 0
 
     def full_compress_mask(self, mask: int) -> int:
         bits = self._unpack(mask)
@@ -142,12 +156,9 @@ class CompressionContext:
             bits = self._restack(bits, i)
         return self._pack(bits)
 
-    def boundary_count_mask(self, mask: int, j: int) -> int:
+    def boundary_count_mask(self, masks: int | np.ndarray, j: int) -> int | np.ndarray:
         """|{a in mask : a + s_j not in mask}| for one generator."""
-        shifted = self._shifters[j].apply(mask)
-        return (shifted & ~mask).bit_count()
-
-    # -- array kernels: many uint32 masks at once, groups of at most 32 elements --
+        return self._shifters[j].boundary(masks)
 
     def _coset_prefix_arrays(self, i: int) -> list[tuple[np.uint32, np.ndarray]]:
         """(coset mask, prefix masks by count) for every <s_i>-coset, as uint32."""
@@ -162,36 +173,16 @@ class CompressionContext:
                 self._array_prefixes.append([(pref[-1], pref) for pref in prefixes])
         return self._array_prefixes[i]
 
-    def compress_array(self, masks: np.ndarray, i: int) -> np.ndarray:
-        """``compress_mask`` on every entry: count per coset, then gather that prefix."""
-        out = np.zeros_like(masks)
-        for coset_mask, prefix in self._coset_prefix_arrays(i):
-            out |= prefix[np.bitwise_count(masks & coset_mask)]
-        return out
-
-    def is_compressed_array(self, masks: np.ndarray, i: int) -> np.ndarray:
-        """``is_compressed_mask`` on every entry, as a bool array."""
-        outside = np.uint32(self._full & ~self.sub_masks[i])
-        return (masks & outside & ~self._shifters[i].apply_array(masks)) == 0
-
-    def boundary_count_array(self, masks: np.ndarray, j: int) -> np.ndarray:
-        """``boundary_count_mask`` on every entry, as a uint8 array."""
-        return np.bitwise_count(self._shifters[j].apply_array(masks) & ~masks)
-
 
 def compress_along(A: GroupSet, ctx: CompressionContext, i: int) -> GroupSet:
     """Restack A towards the beginning of every <s_i>-coset (same per-coset counts)."""
-    ctx._check_axis(i)
-    if A.spec != ctx.spec:
-        raise SpecMismatchError("set and compression context disagree on the group")
+    ctx._check(A, i)
     return GroupSet(ctx.spec, ctx.compress_mask(A.mask, i))
 
 
 def is_compressed(A: GroupSet, ctx: CompressionContext, i: int) -> bool:
     """True iff A is a fixed point of compression along s_i."""
-    ctx._check_axis(i)
-    if A.spec != ctx.spec:
-        raise SpecMismatchError("set and compression context disagree on the group")
+    ctx._check(A, i)
     return ctx.is_compressed_mask(A.mask, i)
 
 
@@ -203,8 +194,7 @@ def full_compress(A: GroupSet, ctx: CompressionContext) -> GroupSet:
     """
     if len(A) == 0:
         raise ValueError("compression of the empty set is not meaningful")
-    if A.spec != ctx.spec:
-        raise SpecMismatchError("set and compression context disagree on the group")
+    ctx._check(A)
     return GroupSet(ctx.spec, ctx.full_compress_mask(A.mask))
 
 
@@ -216,8 +206,7 @@ def phi_embed(A: GroupSet, ctx: CompressionContext) -> LatticeSet:
     compressed along every generator the image is a downset.  Refuses
     non-compressed input because that guarantee would be lost.
     """
-    if A.spec != ctx.spec:
-        raise SpecMismatchError("set and compression context disagree on the group")
+    ctx._check(A)
     for i in range(len(ctx)):
         if not ctx.is_compressed_mask(A.mask, i):
             raise ValueError(f"set is not compressed along generator {i}")
@@ -227,9 +216,7 @@ def phi_embed(A: GroupSet, ctx: CompressionContext) -> LatticeSet:
 
 def coset_counts(A: GroupSet, ctx: CompressionContext, i: int) -> tuple[int, int]:
     """(cosets of <s_i> meeting A, cosets of <s_i> fully inside A)."""
-    ctx._check_axis(i)
-    if A.spec != ctx.spec:
-        raise SpecMismatchError("set and compression context disagree on the group")
+    ctx._check(A, i)
     sizes = ctx._coset_sizes(ctx._unpack(A.mask), i)
     return int(np.count_nonzero(sizes)), int(np.count_nonzero(sizes == ctx.orders[i]))
 

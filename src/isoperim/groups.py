@@ -83,7 +83,8 @@ class Shifter:
     m_i - c move up by c blocks, the others wrap down by m_i - c blocks.  So a
     translation is one block roll per non-zero coordinate, two masks and two
     shifts each (the broadword block roll, Knuth TAOCP 4A, 7.1.3), on a Python
-    int or on a uint32 array alike.  This is the hot path of boundary counting.
+    int or on a uint32 array alike: under numpy 2's scalar rules (NEP 50) the
+    int constants keep the array uint32.  This is the hot path of boundary counting.
     """
 
     __slots__ = ("spec", "g", "_rolls", "_perm")
@@ -101,23 +102,16 @@ class Shifter:
             self._perm = self.spec.add_perm(self.g)
         return self._perm
 
-    def apply(self, mask: int) -> int:
+    def apply(self, masks: int | np.ndarray) -> int | np.ndarray:
+        """The image of an int mask, or of each entry of a uint32 array (``OverflowError`` past 32 elements)."""
         for keep, wrap, up, down in self._rolls:
-            mask = ((mask & keep) << up) | ((mask & wrap) >> down)
-        return mask
+            masks = ((masks & keep) << up) | ((masks & wrap) >> down)
+        return masks
 
-    def apply_array(self, masks: np.ndarray) -> np.ndarray:
-        """Images of many masks at once: a uint32 array in, a uint32 array out.
-
-        The same rolls as ``apply`` on every entry, so the group may have at
-        most 32 elements.
-        """
-        if self.spec.order > 32:
-            raise ValueError("array translation needs a group of at most 32 elements")
-        out = np.asarray(masks, dtype=np.uint32)
-        for keep, wrap, up, down in self._rolls:
-            out = ((out & np.uint32(keep)) << np.uint32(up)) | ((out & np.uint32(wrap)) >> np.uint32(down))
-        return out
+    def boundary(self, masks: int | np.ndarray) -> int | np.ndarray:
+        """|{x in m : x + g not in m}| for an int mask m, or for every entry of a uint32 array."""
+        moved = self.apply(masks) & ~masks
+        return moved.bit_count() if isinstance(moved, int) else np.bitwise_count(moved)
 
 
 class GroupSpec:
@@ -471,7 +465,7 @@ class GroupSet:
     def to_obj(self) -> dict:
         return {
             "group": self.spec.to_obj(),
-            "elements": [list(g.coords) for g in self.elements()],
+            "elements": [list(self.spec.coords_at(r)) for r in self.indices()],
         }
 
     @classmethod

@@ -19,6 +19,7 @@ Plans reject unknown keys, and a sample plan must draw at least one case.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -253,7 +254,7 @@ def gray_sweep_chunks(
     The masks are ``t ^ (t >> 1)`` for t = 1 .. 2**|G| - 1, the order of
     ``gray_subset_sweep``, as uint32 arrays of at most ``_SWEEP_CHUNK``
     entries.  ``boundaries[k]`` holds each mask's boundary count along
-    ``gens[k]``, taken with that generator's block rolls (``Shifter.apply_array``)
+    ``gens[k]``, taken with that generator's block rolls (``Shifter.boundary``)
     on the whole chunk.
     """
     order = spec.order
@@ -264,10 +265,7 @@ def gray_sweep_chunks(
     for start in range(1, end, _SWEEP_CHUNK):
         t = np.arange(start, min(start + _SWEEP_CHUNK, end), dtype=np.uint32)
         masks = t ^ (t >> 1)
-        bounds = np.empty((len(gens), len(masks)), dtype=np.uint8)
-        for k, sh in enumerate(shifters):
-            bounds[k] = np.bitwise_count(sh.apply_array(masks) & ~masks)
-        yield masks, np.bitwise_count(masks), bounds
+        yield masks, np.bitwise_count(masks), np.stack([sh.boundary(masks) for sh in shifters])
 
 
 def enumerate_downsets(box: Sequence[int]) -> Iterator[LatticeSet]:
@@ -382,7 +380,7 @@ def _generator_seqs(plan: VerifyPlan, spec: GroupSpec, rng: SplitMix64) -> list[
 
 
 def _coords_of_mask(spec: GroupSpec, mask: int) -> list[list[int]]:
-    return [list(spec.element_at(r).coords) for r in iter_bits(mask)]
+    return [list(spec.coords_at(r)) for r in iter_bits(mask)]
 
 
 def _boundary_witness(
@@ -495,9 +493,7 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
             for _ in range(plan.sample_size):
                 mask = rng.nonempty_mask(spec.order)
                 size = mask.bit_count()
-                dtot = 0
-                for sh in shifters:
-                    dtot += (sh.apply(mask) & ~mask).bit_count()
+                dtot = sum(sh.boundary(mask) for sh in shifters)
                 code = _verdict_code(theorem.verdict(params, size, dtot))
                 tally[code] += 1
                 if code in (_VIOLATION, _EQUALITY):
@@ -511,60 +507,46 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
         )
 
 
-def _claims_problems(ctx: CompressionContext, mask: int, size: int, d: Sequence[int]) -> list[str]:
-    """Every compression claim that fails on one mask, in a fixed order.
+def _claims_checks(
+    ctx: CompressionContext, masks: int | np.ndarray, sizes: int | np.ndarray, bounds: Sequence[int] | np.ndarray
+) -> Iterator[tuple[str, int, int | None, bool | np.ndarray]]:
+    """Yield (message, i, j, failed) for every compression claim, in report order.
 
-    ``d`` holds the mask's boundary count along each generator.  This is the
-    exact per-mask check: sample plans run it on every case, exhaustive plans
-    on the masks that ``_claims_hold`` flags.
+    ``masks`` is an int mask or a uint32 array of masks, with set sizes
+    ``sizes`` and boundary counts ``bounds[j]`` along generator j; ``failed`` is
+    a bool or a bool array, and ``message.format(i=i, j=j)`` names the claim.
+    Exhaustive plans check a chunk as an array, then each flagged mask as an int.
     """
+    scalar = isinstance(masks, int)
+    popcount = int.bit_count if scalar else np.bitwise_count
+    negate = operator.not_ if scalar else np.logical_not
     axes = range(len(ctx))
-    compressed_axes = [i for i in axes if ctx.is_compressed_mask(mask, i)]
-    step: list[int] = []
-    bad: list[str] = []
+    step = []
     for i in axes:
-        ci = ctx.compress_mask(mask, i)
+        ci = ctx.compress_mask(masks, i)
         step.append(ci)
-        if ci.bit_count() != size:
-            bad.append(f"cardinality changed along {i}")
-        if not ctx.is_compressed_mask(ci, i):
-            bad.append(f"output not compressed along its own axis {i}")
+        yield "cardinality changed along {i}", i, None, popcount(ci) != sizes
+        yield "output not compressed along its own axis {i}", i, None, negate(ctx.is_compressed_mask(ci, i))
         for j in axes:
-            if ctx.boundary_count_mask(ci, j) > d[j]:
-                bad.append(f"boundary grew for generator {j} after compressing along {i}")
-    for i in compressed_axes:
+            grew = ctx.boundary_count_mask(ci, j) > bounds[j]
+            yield "boundary grew for generator {j} after compressing along {i}", i, j, grew
+    for i in axes:
+        was_compressed = ctx.is_compressed_mask(masks, i)
+        if scalar and not was_compressed:
+            continue  # only a set compressed along i can lose it
         for j in axes:
-            if not ctx.is_compressed_mask(step[j], i):
-                bad.append(f"compression along {j} destroyed compressedness along {i}")
+            failed = was_compressed & negate(ctx.is_compressed_mask(step[j], i))
+            yield "compression along {j} destroyed compressedness along {i}", i, j, failed
     full = step[0]
     for i in range(1, len(ctx)):
         full = ctx.compress_mask(full, i)
     for i in axes:
-        if not ctx.is_compressed_mask(full, i):
-            bad.append(f"single pass left the set non-compressed along {i}")
-    return bad
+        yield "single pass left the set non-compressed along {i}", i, None, negate(ctx.is_compressed_mask(full, i))
 
 
-def _claims_hold(ctx: CompressionContext, masks: np.ndarray, sizes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per mask, True iff ``_claims_problems`` would find nothing; the array form of its checks."""
-    axes = range(len(ctx))
-    good = np.ones(len(masks), dtype=bool)
-    step = [ctx.compress_array(masks, i) for i in axes]
-    for i in axes:
-        good &= np.bitwise_count(step[i]) == sizes
-        good &= ctx.is_compressed_array(step[i], i)
-        for j in axes:
-            good &= ctx.boundary_count_array(step[i], j) <= bounds[j]
-    for i in axes:
-        was_compressed = ctx.is_compressed_array(masks, i)
-        for j in axes:
-            good &= ~was_compressed | ctx.is_compressed_array(step[j], i)
-    full = step[0]
-    for i in range(1, len(ctx)):
-        full = ctx.compress_array(full, i)
-    for i in axes:
-        good &= ctx.is_compressed_array(full, i)
-    return good
+def _claims_problems(ctx: CompressionContext, mask: int, size: int, d: Sequence[int]) -> list[str]:
+    """Every compression claim that fails on one int mask, in report order; ``d`` as ``bounds``."""
+    return [message.format(i=i, j=j) for message, i, j, failed in _claims_checks(ctx, mask, size, d) if failed]
 
 
 def _claims_witness(spec: GroupSpec, gens: GeneratorSeq, label: str, mask: int, problems: list[str]) -> dict:
@@ -587,7 +569,10 @@ def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
         if plan.mode == "exhaustive":
             for masks, sizes, bounds in gray_sweep_chunks(spec, gens):
                 cases += len(masks)
-                for r in np.flatnonzero(~_claims_hold(ctx, masks, sizes, bounds)).tolist():
+                flagged = np.zeros(len(masks), dtype=bool)
+                for _, _, _, failed in _claims_checks(ctx, masks, sizes, bounds):
+                    flagged |= failed
+                for r in np.flatnonzero(flagged).tolist():
                     mask = int(masks[r])
                     bad = _claims_problems(ctx, mask, int(sizes[r]), bounds[:, r].tolist())
                     if not bad:
@@ -619,7 +604,7 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
     if plan.mode == "sample":
         masks = [rng.nonempty_mask(spec.order) for _ in range(plan.sample_size)]
     else:
-        masks = list(range(1, 1 << spec.order))
+        masks = range(1, 1 << spec.order)
     variant = "exp3" if spec.exponent == 3 else f"general-p{min_nonzero_order(spec)}"
     dims: dict[int, int] = {}  # popular-set mask -> dimension; the gammas of one set often give the same P
     cases = 0
@@ -763,7 +748,7 @@ def replay_witness(witness: dict) -> bool:
         A = GroupSet.from_elements(spec, (spec.element(c) for c in witness["set"]))
         gamma = Fraction(witness["gamma"])
         P = popular_diffs(A, gamma)
-        dim = dim_independent(P, cap=max(64, len(P))).value
+        dim = dim_independent(P, cap=len(P)).value
         if dim != witness["dim_independent"]:
             return False
         v = popular_dim_verdict(spec, gamma, len(A), dim)

@@ -198,8 +198,13 @@ def test_usage_errors_exit_two(capsys):
 def test_internal_errors_exit_three(capsys, monkeypatch, tmp_path):
     from isoperim import CompressionContext, harness
 
-    # the array compression kernel flags sets that the per-mask check passes
-    monkeypatch.setattr(CompressionContext, "compress_array", lambda self, masks, i: masks.copy())
+    # the array form of the compression kernel flags sets that the per-mask check passes
+    real = CompressionContext.compress_mask
+    monkeypatch.setattr(
+        CompressionContext,
+        "compress_mask",
+        lambda self, masks, i: real(self, masks, i) if isinstance(masks, int) else masks.copy(),
+    )
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"theorem": "claims-compression", "group": {"moduli": [2, 2]}}))
     assert main(["verify", "--plan", str(plan)]) == 3

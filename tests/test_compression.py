@@ -152,7 +152,7 @@ def test_box_kernels_match_chain_reference_on_every_mask(spec, gens):
     masks = np.arange(1 << spec.order, dtype=np.uint32)
     stacked = masks
     for i in range(len(gens)):
-        assert np.array_equal(ctx.compress_array(masks, i), ref.compress_array(masks, i))
+        assert np.array_equal(ctx.compress_mask(masks, i), ref.compress_array(masks, i))
         stacked = ref.compress_array(stacked, i)
     # a per-mask kernel call costs microseconds: every mask up to 12 elements,
     # a seeded 1/32 of the masks of the 16-element groups
@@ -180,7 +180,7 @@ def test_box_kernels_match_chain_reference_on_seeded_masks(spec, gens):
     if spec.order <= 32:
         arr = np.array(masks, dtype=np.uint32)
         for i in range(len(gens)):
-            assert np.array_equal(ctx.compress_array(arr, i), ref.compress_array(arr, i))
+            assert np.array_equal(ctx.compress_mask(arr, i), ref.compress_array(arr, i))
 
 
 @pytest.mark.parametrize("moduli", [(2,) * 16, (65536,)], ids=["C2^16", "C65536"])

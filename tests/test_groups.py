@@ -378,17 +378,20 @@ def test_shifter_apply_array_matches_apply(moduli):
     else:
         rng = SplitMix64(7)
         masks = np.array([rng.mask_bits(spec.order) for _ in range(64)], dtype=np.uint32)
+    ints = masks.tolist()
     for g in spec.elements():
         shifter = spec.shift_table(g)
-        images = shifter.apply_array(masks)
+        images = shifter.apply(masks)
         assert images.dtype == np.uint32
-        assert images.tolist() == [shifter.apply(m) for m in masks.tolist()], g
+        assert images.tolist() == [shifter.apply(m) for m in ints], g
+        assert shifter.boundary(masks).tolist() == [(shifter.apply(m) & ~m).bit_count() for m in ints], g
 
 
 def test_shifter_apply_array_needs_a_small_group():
+    # a uint32 array cannot hold the masks of a 64-element group: the roll constants overflow it
     spec = GroupSpec([2] * 6)
-    with pytest.raises(ValueError):
-        spec.shift_table(spec.element_at(1)).apply_array(np.arange(4, dtype=np.uint32))
+    with pytest.raises(OverflowError):
+        spec.shift_table(spec.element_at(1)).apply(np.arange(4, dtype=np.uint32))
 
 
 def test_shifter_perm_is_the_add_perm_list():

@@ -198,10 +198,9 @@ def test_claims_runner_matches_reference_loop(monkeypatch, plan):
 
 
 def test_claims_flagged_masks_get_the_per_mask_problems(monkeypatch):
-    # with compression broken in both forms, both paths must report the same
-    # problems for the same masks, in Gray order
-    monkeypatch.setattr(CompressionContext, "compress_mask", lambda self, mask, i: mask)
-    monkeypatch.setattr(CompressionContext, "compress_array", lambda self, masks, i: masks.copy())
+    # with compression made the identity on int masks and on arrays alike, both
+    # paths must report the same problems for the same masks, in Gray order
+    monkeypatch.setattr(CompressionContext, "compress_mask", lambda self, masks, i: masks)
     monkeypatch.setattr(harness, "_SWEEP_CHUNK", 50)
     plan = VerifyPlan(theorem="claims-compression", moduli=(2, 4))
     report = run_verify(plan)
@@ -209,20 +208,60 @@ def test_claims_flagged_masks_get_the_per_mask_problems(monkeypatch):
     same_report(plan, reference_claims_report)
 
 
+def test_claims_reports_every_kind_of_problem(monkeypatch):
+    # a constant compression output, one element outside every <S_i>, breaks each
+    # claim on some mask; the array and int forms must report them alike
+    spec = GroupSpec((2, 4))
+    single = 1 << spec.index_of(spec.element((1, 1)))
+    monkeypatch.setattr(
+        CompressionContext,
+        "compress_mask",
+        lambda self, masks, i: single if isinstance(masks, int) else np.full_like(masks, single),
+    )
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 50)
+    plan = VerifyPlan(theorem="claims-compression", moduli=(2, 4))
+    problems = {p for w in run_verify(plan).violations for p in w["problems"]}
+    kinds = ("cardinality changed", "output not compressed", "boundary grew", "destroyed compressedness", "single pass")
+    for kind in kinds:
+        assert any(kind in p for p in problems), kind
+    same_report(plan, reference_claims_report)
+
+
 def test_claims_kernel_disagreement_raises(monkeypatch):
-    # the array form flags masks that the exact per-mask check passes
-    monkeypatch.setattr(CompressionContext, "compress_array", lambda self, masks, i: masks.copy())
+    # compression made the identity on arrays only: the array form flags masks
+    # that the exact per-mask check passes
+    real = CompressionContext.compress_mask
+    monkeypatch.setattr(
+        CompressionContext,
+        "compress_mask",
+        lambda self, masks, i: real(self, masks, i) if isinstance(masks, int) else masks.copy(),
+    )
     with pytest.raises(RuntimeError, match="disagree"):
         run_verify(VerifyPlan(theorem="claims-compression", moduli=(2, 2)))
 
 
+def _kernel_bases():
+    """A fixed basis of C2 x C4, then the standard and one drawn basis of four more groups."""
+    out = [_gens(GroupSpec((2, 4)), (1, 2), (0, 1))]
+    for seed, moduli in enumerate([(2, 2, 2, 2), (4, 4), (3, 3), (2, 2, 3)]):
+        spec = GroupSpec(moduli)
+        out.append(spec.standard_basis())
+        out.append(harness.draw_generating_seq(spec, SplitMix64(seed), len(moduli), independent=True))
+    return out
+
+
 def test_compression_array_kernels_match_scalar_forms():
-    spec = GroupSpec((2, 4))
-    ctx = CompressionContext(_gens(spec, (1, 2), (0, 1)))
-    masks = np.arange(1, 1 << spec.order, dtype=np.uint32)
-    for i in range(len(ctx)):
-        assert ctx.compress_array(masks, i).tolist() == [ctx.compress_mask(m, i) for m in masks.tolist()]
-        assert ctx.is_compressed_array(masks, i).tolist() == [ctx.is_compressed_mask(m, i) for m in masks.tolist()]
-        assert ctx.boundary_count_array(masks, i).tolist() == [
-            ctx.boundary_count_mask(m, i) for m in masks.tolist()
-        ]
+    # the array form on every mask; the int form, microseconds a call, on every
+    # mask up to 12 elements and on a seeded 1/32 of the masks of 16 elements
+    for gens in _kernel_bases():
+        ctx = CompressionContext(gens)
+        masks = np.arange(1, 1 << gens.spec.order, dtype=np.uint32)
+        picks = np.arange(len(masks))
+        if gens.spec.order > 12:
+            picks = np.random.default_rng(len(ctx)).choice(picks, 1 << 11, replace=False)
+        ints = masks[picks].tolist()
+        for i in range(len(ctx)):
+            assert ctx.compress_mask(masks, i).dtype == np.uint32
+            for kernel in (ctx.compress_mask, ctx.is_compressed_mask, ctx.boundary_count_mask):
+                got = kernel(masks, i)[picks].tolist()
+                assert got == [kernel(m, i) for m in ints], (gens, i, kernel.__name__)
