@@ -11,9 +11,11 @@ Gray-code order.  The runners take the whole family in numpy chunks
 (``gray_sweep_chunks``); ``gray_subset_sweep`` walks the same order one mask
 at a time and serves as its oracle.
 
-Each check has one verdict function, shared by its runner and
-``replay_witness`` (``boundary.BOUNDARY_THEOREMS`` for the edge-boundary
-bounds); replay also requires the recorded sides and problems to match.
+Each check has one witness function that builds its whole record from the
+values a case was decided on, and decides from them whether the case is
+recorded at all.  The runners file what it returns; ``replay_witness``
+recomputes those values from the record's inputs and requires the rebuilt
+record to equal the serialized one.
 Plans reject unknown keys, and a sample plan must draw at least one case.
 """
 
@@ -46,6 +48,7 @@ from .groups import (
 )
 from .lattice import (
     LatticeSet,
+    WeightStats,
     box_projector,
     loomis_whitney_sides,
     lw_plus_sides,
@@ -88,6 +91,10 @@ class GeneratorPolicy:
     sets: int = 1
     independent: bool = False
     elements: tuple[tuple[int, ...], ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind == "random-generating" and self.sets < 1:
+            raise ValueError(f"a random-generating policy needs sets >= 1, got {self.sets}")
 
     def to_obj(self) -> dict:
         obj: dict = {"policy": self.kind}
@@ -376,7 +383,14 @@ def _generator_seqs(plan: VerifyPlan, spec: GroupSpec, rng: SplitMix64) -> list[
     raise ValueError(f"unknown generator policy {pol.kind!r}")
 
 
-# -- witness plumbing -----------------------------------------------------------
+# -- witness records: one function per check, shared by its runner and replay ---
+
+
+def _recorded_kind(ok: bool, vacuous: bool, equality: bool) -> str | None:
+    """The record kind for a ``Verdict``'s fields in ``_verdict_code`` precedence; None records nothing."""
+    if not ok:
+        return "violation"
+    return "equality" if equality and not vacuous else None
 
 
 def _coords_of_mask(spec: GroupSpec, mask: int) -> list[list[int]]:
@@ -384,16 +398,19 @@ def _coords_of_mask(spec: GroupSpec, mask: int) -> list[list[int]]:
 
 
 def _boundary_witness(
-    kind: str,
-    check: str,
-    spec: GroupSpec,
-    gens: GeneratorSeq,
-    label: str,
-    params: tuple[int, int],
-    mask: int,
-    size: int,
-    boundary: int,
-) -> dict:
+    check: str, spec: GroupSpec, gens: GeneratorSeq, label: str, params: tuple[int, int],
+    mask: int, size: int, boundary: int,
+) -> dict | None:
+    """The record of a boundary case, with the (lhs, rhs, slack) of its cleared inequality.
+
+    The sides are multiplied out only for a recorded case, so a verdict far
+    from equality never builds their integers.
+    """
+    theorem = BOUNDARY_THEOREMS[check]
+    kind = _recorded_kind(*theorem.verdict(params, size, boundary))
+    if kind is None:
+        return None
+    lhs, rhs, gamma = theorem.sides(*params, size, boundary)
     return {
         "kind": kind,
         "check": check,
@@ -403,40 +420,92 @@ def _boundary_witness(
         "set": _coords_of_mask(spec, mask),
         "size": size,
         "boundary": boundary,
-        **_sides_fields(check, params, size, boundary),
-    }
-
-
-def _sides_fields(check: str, params: tuple[int, int], size: int, boundary: int) -> dict:
-    """The serialized (lhs, rhs, slack) of the cleared inequality, for witness records.
-
-    The sides are multiplied out here, so only a recorded witness pays for
-    integers that a verdict far from equality never builds.
-    """
-    lhs, rhs, gamma = BOUNDARY_THEOREMS[check].sides(*params, size, boundary)
-    return {
         "gamma_star": None if gamma is None else str(gamma),
         "lhs": str(power_product(lhs)),
         "rhs": str(power_product(rhs)),
     }
 
 
-def _file_witness(report: VerifyReport, witness: dict) -> None:
+def _claims_witness(spec: GroupSpec, gens: GeneratorSeq, label: str, mask: int, problems: list[str]) -> dict | None:
+    """The record of a set that fails the compression claims ``problems``; None if it fails none."""
+    if not problems:
+        return None
+    return {
+        "kind": "violation",
+        "check": "claims-compression",
+        "label": label,
+        "group": spec.to_obj(),
+        "generators": [list(s.coords) for s in gens],
+        "set": _coords_of_mask(spec, mask),
+        "problems": problems,
+    }
+
+
+def _repa_witness(spec: GroupSpec, mask: int, gamma: Fraction, size: int, popular_size: int, dim: int) -> dict | None:
+    """The record of a popular-difference case: a set, its gamma-popular set's size and dimension."""
+    kind = _recorded_kind(*popular_dim_verdict(spec, gamma, size, dim))
+    if kind is None:
+        return None
+    return {
+        "kind": kind,
+        "check": "repa",
+        "group": spec.to_obj(),
+        "set": _coords_of_mask(spec, mask),
+        "gamma": str(Fraction(gamma)),
+        "size": size,
+        "popular_size": popular_size,
+        "dim_independent": dim,
+        "variant": "exp3" if spec.exponent == 3 else f"general-p{min_nonzero_order(spec)}",
+    }
+
+
+def _avweight_witness(A: LatticeSet, stats: WeightStats) -> dict | None:
+    """The record of a downset and its weight statistics."""
+    kind = _recorded_kind(stats.bound_holds, False, stats.is_equality)
+    if kind is None:
+        return None
+    return {
+        "kind": kind,
+        "check": "avweight",
+        "set": A.to_obj(),
+        "size": stats.size,
+        "total_weight": stats.total_weight,
+    }
+
+
+def _projection_witness(
+    check: str, dim: int, cells: Sequence[tuple[int, ...]], mask: int, proj: Sequence[int]
+) -> dict | None:
+    """The lwplus or Loomis-Whitney record of the lattice set {cells[i] : bit i of mask}.
+
+    ``proj`` holds its projection sizes; the set is built only for a record.
+    """
+    size = mask.bit_count()
+    sides = lw_plus_sides(dim, size, proj) if check == "lwplus" else loomis_whitney_sides(size, proj)
+    kind = _recorded_kind(*cleared_verdict(*sides))
+    if kind is None:
+        return None
+    return {
+        "kind": kind,
+        "check": check,
+        "set": LatticeSet(dim, [cells[i] for i in iter_bits(mask)]).to_obj(),
+        "size": size,
+        "projections": list(proj),
+    }
+
+
+def _file_witness(report: VerifyReport, witness: dict | None) -> None:
     """Add a witness to the report's list for its kind: a violation, or else an equality case."""
-    (report.violations if witness["kind"] == "violation" else report.equality_witnesses).append(witness)
+    if witness is not None:
+        (report.violations if witness["kind"] == "violation" else report.equality_witnesses).append(witness)
 
 
-def _add_single_class(report: VerifyReport, label: str, cases: int) -> None:
-    """Close a plan that runs as one case class: every witness of the report is its own."""
+def _add_class(report: VerifyReport, label: str, cases: int, vacuous: int, violations: int, equalities: int) -> None:
+    """Close one case class: add its counts to the report's totals and its summary row."""
     report.cases_checked += cases
+    report.vacuous += vacuous
     report.classes.append(
-        {
-            "label": label,
-            "cases": cases,
-            "vacuous": 0,
-            "violations": len(report.violations),
-            "equalities": len(report.equality_witnesses),
-        }
+        {"label": label, "cases": cases, "vacuous": vacuous, "violations": violations, "equalities": equalities}
     )
 
 
@@ -473,9 +542,8 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
         params = theorem.params(spec, gens)
         tally = [0] * 4  # cases per verdict code
 
-        def record(code: int, mask: int, size: int, dtot: int) -> None:
-            kind = "violation" if code == _VIOLATION else "equality"
-            _file_witness(report, _boundary_witness(kind, check, spec, gens, label, params, mask, size, dtot))
+        def record(mask: int, size: int, dtot: int) -> None:
+            _file_witness(report, _boundary_witness(check, spec, gens, label, params, mask, size, dtot))
 
         if plan.mode == "exhaustive":
             n = len(gens)
@@ -487,7 +555,7 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
                 codes = table[sizes, dtots]
                 tally = [t + c for t, c in zip(tally, np.bincount(codes, minlength=4).tolist())]
                 for r in np.flatnonzero((codes == _VIOLATION) | (codes == _EQUALITY)).tolist():
-                    record(int(codes[r]), int(masks[r]), int(sizes[r]), int(dtots[r]))
+                    record(int(masks[r]), int(sizes[r]), int(dtots[r]))
         else:
             shifters = [spec.shift_table(s) for s in gens]
             for _ in range(plan.sample_size):
@@ -497,14 +565,9 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
                 code = _verdict_code(theorem.verdict(params, size, dtot))
                 tally[code] += 1
                 if code in (_VIOLATION, _EQUALITY):
-                    record(code, mask, size, dtot)
-        cases = sum(tally)
+                    record(mask, size, dtot)
         _, vios, vac, eqs = tally
-        report.cases_checked += cases
-        report.vacuous += vac
-        report.classes.append(
-            {"label": label, "cases": cases, "vacuous": vac, "violations": vios, "equalities": eqs}
-        )
+        _add_class(report, label, sum(tally), vac, vios, eqs)
 
 
 def _claims_checks(
@@ -549,18 +612,6 @@ def _claims_problems(ctx: CompressionContext, mask: int, size: int, d: Sequence[
     return [message.format(i=i, j=j) for message, i, j, failed in _claims_checks(ctx, mask, size, d) if failed]
 
 
-def _claims_witness(spec: GroupSpec, gens: GeneratorSeq, label: str, mask: int, problems: list[str]) -> dict:
-    return {
-        "kind": "violation",
-        "check": "claims-compression",
-        "label": label,
-        "group": spec.to_obj(),
-        "generators": [list(s.coords) for s in gens],
-        "set": _coords_of_mask(spec, mask),
-        "problems": problems,
-    }
-
-
 def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
     spec, rng = _group_of(plan)
     for label, gens in _generator_seqs(plan, spec, rng):
@@ -581,20 +632,16 @@ def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
                             " but the per-mask checks pass it"
                         )
                     vios += len(bad)
-                    report.violations.append(_claims_witness(spec, gens, label, mask, bad))
+                    _file_witness(report, _claims_witness(spec, gens, label, mask, bad))
         else:
             for _ in range(plan.sample_size):
                 mask = rng.nonempty_mask(spec.order)
                 d = [ctx.boundary_count_mask(mask, j) for j in range(len(gens))]
                 cases += 1
                 bad = _claims_problems(ctx, mask, mask.bit_count(), d)
-                if bad:
-                    vios += len(bad)
-                    report.violations.append(_claims_witness(spec, gens, label, mask, bad))
-        report.cases_checked += cases
-        report.classes.append(
-            {"label": label, "cases": cases, "vacuous": 0, "violations": vios, "equalities": 0}
-        )
+                vios += len(bad)
+                _file_witness(report, _claims_witness(spec, gens, label, mask, bad))
+        _add_class(report, label, cases, 0, vios, 0)
 
 
 def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
@@ -605,7 +652,6 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
         masks = [rng.nonempty_mask(spec.order) for _ in range(plan.sample_size)]
     else:
         masks = range(1, 1 << spec.order)
-    variant = "exp3" if spec.exponent == 3 else f"general-p{min_nonzero_order(spec)}"
     dims: dict[int, int] = {}  # popular-set mask -> dimension; the gammas of one set often give the same P
     cases = 0
     for mask in masks:
@@ -617,22 +663,9 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
             dim = dims.get(P.mask)
             if dim is None:
                 dim = dims[P.mask] = dim_independent(P, cap=plan.dim_cap).value
-            v = popular_dim_verdict(spec, gamma, size, dim)
             cases += 1
-            if not v.ok or v.equality:
-                witness = {
-                    "kind": "violation" if not v.ok else "equality",
-                    "check": "repa",
-                    "group": spec.to_obj(),
-                    "set": _coords_of_mask(spec, mask),
-                    "gamma": str(Fraction(gamma)),
-                    "size": size,
-                    "popular_size": len(P),
-                    "dim_independent": dim,
-                    "variant": variant,
-                }
-                _file_witness(report, witness)
-    _add_single_class(report, "sampled-sets", cases)
+            _file_witness(report, _repa_witness(spec, mask, gamma, size, len(P), dim))
+    _add_class(report, "sampled-sets", cases, 0, len(report.violations), len(report.equality_witnesses))
 
 
 def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
@@ -646,28 +679,12 @@ def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
         total += 1
         if len(A) == 0:
             continue
-        stats = weight_stats(A)
         cases += 1
-        if not stats.bound_holds or stats.is_equality:
-            witness = {
-                "kind": "violation" if not stats.bound_holds else "equality",
-                "check": "avweight",
-                "set": A.to_obj(),
-                "size": stats.size,
-                "total_weight": stats.total_weight,
-            }
-            _file_witness(report, witness)
+        _file_witness(report, _avweight_witness(A, weight_stats(A)))
     report.details["downsets_enumerated"] = total
     report.details["downsets_checked"] = cases
-    _add_single_class(report, "box-" + "x".join(map(str, plan.box)), cases)
-
-
-def _projection_verdicts(dim: int, size: int, proj: Sequence[int]) -> dict[str, Verdict]:
-    """The lwplus and Loomis-Whitney verdicts on raw projection counts, in report order."""
-    return {
-        "lwplus": cleared_verdict(*lw_plus_sides(dim, size, proj)),
-        "loomis-whitney": cleared_verdict(*loomis_whitney_sides(size, proj)),
-    }
+    label = "box-" + "x".join(map(str, plan.box))
+    _add_class(report, label, cases, 0, len(report.violations), len(report.equality_witnesses))
 
 
 def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
@@ -679,23 +696,13 @@ def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
     cells = list(_cartesian(*[range(b + 1) for b in dims]))
     projections = box_projector(dims)
     rng = SplitMix64(plan.seed)
-    cases = 0
     for _ in range(plan.sample_size):
         mask = rng.nonempty_mask(len(cells))
-        size = mask.bit_count()
         proj = projections(mask)
-        cases += 1
-        for check, v in _projection_verdicts(len(dims), size, proj).items():
-            if not v.ok or v.equality:
-                witness = {
-                    "kind": "violation" if not v.ok else "equality",
-                    "check": check,
-                    "set": LatticeSet(len(dims), [cells[i] for i in iter_bits(mask)]).to_obj(),
-                    "size": size,
-                    "projections": list(proj),
-                }
-                _file_witness(report, witness)
-    _add_single_class(report, "box-" + "x".join(map(str, dims)), cases)
+        for check in ("lwplus", "loomis-whitney"):
+            _file_witness(report, _projection_witness(check, len(dims), cells, mask, proj))
+    label = "box-" + "x".join(map(str, dims))
+    _add_class(report, label, plan.sample_size, 0, len(report.violations), len(report.equality_witnesses))
 
 
 _RUNNERS: dict[str, Callable[[VerifyPlan, VerifyReport], None]] = {
@@ -726,51 +733,40 @@ def run_verify(plan: VerifyPlan) -> VerifyReport:
 
 
 def replay_witness(witness: dict) -> bool:
-    """Recompute a serialized witness from scratch and confirm its verdict.
+    """Rebuild a serialized witness from the inputs it names and compare the whole record.
 
-    A boundary witness must also carry the recomputed sides and slack, and a
-    compression witness the recomputed list of problems.
+    The inputs are the group, generators, set, label and gamma the record
+    names.  Replay recomputes the values its check decides on (boundary counts,
+    the popular set and its dimension, weight statistics, projection sizes or
+    the compression problems) and calls the check's witness function, so any
+    altered or added field fails, and so does a case that records nothing.
     """
     check = witness["check"]
-    if check in BOUNDARY_THEOREMS:
-        spec = GroupSpec.from_obj(witness["group"])
-        gens = GeneratorSeq(spec, tuple(spec.element(c) for c in witness["generators"]))
-        A = GroupSet.from_elements(spec, (spec.element(c) for c in witness["set"]))
-        size = len(A)
-        boundary = sum(boundary_counts(A, gens))
-        params = BOUNDARY_THEOREMS[check].params(spec, gens)
-        recorded = {"size": size, "boundary": boundary, **_sides_fields(check, params, size, boundary)}
-        if any(witness.get(k) != v for k, v in recorded.items()):
-            return False
-        v = BOUNDARY_THEOREMS[check].verdict(params, size, boundary)
-    elif check == "repa":
-        spec = GroupSpec.from_obj(witness["group"])
-        A = GroupSet.from_elements(spec, (spec.element(c) for c in witness["set"]))
+    if check in ("avweight", "lwplus", "loomis-whitney"):
+        A = LatticeSet.from_obj(witness["set"])
+        if check == "avweight":
+            return _avweight_witness(A, weight_stats(A)) == witness
+        # the set's own points as the cells, every cell in the mask
+        return _projection_witness(check, A.dim, list(A), (1 << len(A)) - 1, projection_sizes(A)) == witness
+    if check not in BOUNDARY_THEOREMS and check not in ("repa", "claims-compression"):
+        raise ValueError(f"cannot replay witness for check {check!r}")
+    spec = GroupSpec.from_obj(witness["group"])
+    A = GroupSet.from_elements(spec, (spec.element(c) for c in witness["set"]))
+    if check == "repa":
         gamma = Fraction(witness["gamma"])
         P = popular_diffs(A, gamma)
-        dim = dim_independent(P, cap=len(P)).value
-        if dim != witness["dim_independent"]:
-            return False
-        v = popular_dim_verdict(spec, gamma, len(A), dim)
-    elif check == "avweight":
-        stats = weight_stats(LatticeSet.from_obj(witness["set"]))
-        v = Verdict(stats.bound_holds, False, stats.is_equality)
-    elif check in ("lwplus", "loomis-whitney"):
-        A = LatticeSet.from_obj(witness["set"])
-        v = _projection_verdicts(A.dim, len(A), projection_sizes(A))[check]
-    elif check == "claims-compression":
-        spec = GroupSpec.from_obj(witness["group"])
-        gens = GeneratorSeq(spec, tuple(spec.element(c) for c in witness["generators"]))
-        ctx = CompressionContext(gens)
-        mask = GroupSet.from_elements(spec, (spec.element(c) for c in witness["set"])).mask
-        d = [ctx.boundary_count_mask(mask, j) for j in range(len(gens))]
-        problems = _claims_problems(ctx, mask, mask.bit_count(), d)
-        if problems != witness["problems"]:
-            return False
-        v = Verdict(not problems, False, False)
+        rebuilt = _repa_witness(spec, A.mask, gamma, len(A), len(P), dim_independent(P, cap=len(P)).value)
     else:
-        raise ValueError(f"cannot replay witness for check {check!r}")
-    return (not v.ok) if witness["kind"] == "violation" else v.equality
+        gens = GeneratorSeq(spec, tuple(spec.element(c) for c in witness["generators"]))
+        label = witness["label"]
+        if check == "claims-compression":
+            ctx = CompressionContext(gens)
+            d = [ctx.boundary_count_mask(A.mask, j) for j in range(len(gens))]
+            rebuilt = _claims_witness(spec, gens, label, A.mask, _claims_problems(ctx, A.mask, len(A), d))
+        else:
+            params = BOUNDARY_THEOREMS[check].params(spec, gens)
+            rebuilt = _boundary_witness(check, spec, gens, label, params, A.mask, len(A), sum(boundary_counts(A, gens)))
+    return rebuilt == witness
 
 
 # -- report emission --------------------------------------------------------------

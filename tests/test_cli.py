@@ -148,6 +148,18 @@ def test_verify_command_rejects_plans_that_would_pass_vacuously(capsys, tmp_path
     assert "PASS" not in captured.out and "error" in captured.err
 
 
+@pytest.mark.parametrize("theorem", ["exp234", "claims-compression"])
+@pytest.mark.parametrize("sets", [0, -1])
+def test_verify_command_rejects_random_policies_without_sets(capsys, tmp_path, theorem, sets):
+    # a random-generating policy of no sequences would pass with 0 cases
+    plan = tmp_path / "plan.json"
+    policy = {"policy": "random-generating", "count": 2, "sets": sets}
+    plan.write_text(json.dumps({"theorem": theorem, "group": {"moduli": [2, 2]}, "generators": policy}))
+    assert main(["verify", "--plan", str(plan)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "sets" in captured.err
+
+
 @pytest.mark.parametrize(
     "plan_obj, message",
     [

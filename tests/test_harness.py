@@ -32,7 +32,7 @@ from isoperim import (
     span,
 )
 from isoperim import harness
-from isoperim.harness import GeneratorPolicy
+from isoperim.harness import THEOREM_IDS, GeneratorPolicy
 from isoperim.groups import min_nonzero_order
 from isoperim.popular import dim_independent, popular_diffs, popular_dim_verdict
 
@@ -530,6 +530,14 @@ def test_sample_plans_need_cases():
         VerifyPlan(theorem="exp234", moduli=(2, 2), mode="sampled", sample_size=5)
 
 
+def test_random_policies_need_sets():
+    for sets in (0, -2):
+        with pytest.raises(ValueError, match="sets"):
+            GeneratorPolicy(kind="random-generating", count=2, sets=sets)
+        with pytest.raises(ValueError, match="sets"):
+            GeneratorPolicy.from_obj({"policy": "random-generating", "count": 2, "sets": sets})
+
+
 @pytest.mark.parametrize("theorem", ["bl-bound", "exp234"])
 def test_boundary_replay_checks_the_recorded_sides(theorem):
     report = run_verify(VerifyPlan(theorem=theorem, moduli=(2, 2, 2)))
@@ -540,6 +548,59 @@ def test_boundary_replay_checks_the_recorded_sides(theorem):
         fields["gamma_star"] = str(Fraction(w["gamma_star"]) / 2)
     for key, value in fields.items():
         assert not replay_witness(dict(w, **{key: value})), key
+
+
+# the fields a witness names as its case; replay recomputes every other field
+WITNESS_INPUTS = {"check", "group", "generators", "set", "label", "gamma"}
+LWPLUS_PLAN = VerifyPlan(theorem="lwplus", box=(1, 1), mode="sample", sample_size=20, seed=1)
+TAMPER_PLANS = {
+    "bl-bound": VerifyPlan(theorem="bl-bound", moduli=(2, 2, 2)),
+    "exp234": VerifyPlan(theorem="exp234", moduli=(2, 2, 2)),
+    "generalcase": VerifyPlan(theorem="generalcase", moduli=(2, 4)),
+    "cosetdecomp": VerifyPlan(
+        theorem="cosetdecomp", moduli=(3, 3), generators=GeneratorPolicy(kind="fixed-list", elements=((1, 0),))
+    ),
+    "claims-compression": VerifyPlan(theorem="claims-compression", moduli=(2, 4)),
+    "repa": VerifyPlan(theorem="repa", moduli=(2, 2), gammas=(Fraction(1, 2),), dim_cap=4),
+    "avweight": VerifyPlan(theorem="avweight", box=(1, 1)),
+    "lwplus": LWPLUS_PLAN,
+    "loomis-whitney": LWPLUS_PLAN,
+}
+
+
+def _tampered(value):
+    """A different value of the same shape."""
+    if value in ("violation", "equality"):
+        return "equality" if value == "violation" else "violation"
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, list):
+        return value[:-1] + [_tampered(value[-1])] if value else ["made up"]
+    if value is None:
+        return "1/2"
+    try:
+        return str(Fraction(value) + 1)
+    except ValueError:
+        return value + "x"
+
+
+def test_tamper_plans_cover_every_check():
+    assert sorted(TAMPER_PLANS) == sorted([*THEOREM_IDS, "loomis-whitney"])
+
+
+@pytest.mark.parametrize("check", sorted(TAMPER_PLANS))
+def test_replay_rejects_every_tampered_field(monkeypatch, check):
+    if check == "claims-compression":
+        # no real plan fails a claim: with compression made the identity, sets that are not compressed stay so
+        monkeypatch.setattr(CompressionContext, "compress_mask", lambda self, masks, i: masks)
+    report = run_verify(TAMPER_PLANS[check])
+    w = next(w for w in report.violations + report.equality_witnesses if w["check"] == check)
+    assert replay_witness(json.loads(json.dumps(w)))
+    recorded = sorted(set(w) - WITNESS_INPUTS)
+    assert "kind" in recorded and len(recorded) >= 2
+    for key in recorded:
+        assert not replay_witness(dict(w, **{key: _tampered(w[key])})), key
+    assert not replay_witness(dict(w, note="not a field of any record"))
 
 
 def test_claims_replay_checks_the_recorded_problems(monkeypatch):

@@ -98,14 +98,14 @@ def reference_boundary_report(plan: VerifyPlan) -> VerifyReport:
             if not v.ok:
                 vios += 1
                 report.violations.append(
-                    harness._boundary_witness("violation", plan.theorem, spec, gens, label, params, mask, size, dtot)
+                    harness._boundary_witness(plan.theorem, spec, gens, label, params, mask, size, dtot)
                 )
             elif v.vacuous:
                 vac += 1
             elif v.equality:
                 eqs += 1
                 report.equality_witnesses.append(
-                    harness._boundary_witness("equality", plan.theorem, spec, gens, label, params, mask, size, dtot)
+                    harness._boundary_witness(plan.theorem, spec, gens, label, params, mask, size, dtot)
                 )
         report.cases_checked += cases
         report.vacuous += vac
@@ -180,6 +180,23 @@ def test_boundary_runner_matches_reference_with_every_verdict_kind(monkeypatch, 
     report = run_verify(plan)
     assert report.violations and report.equality_witnesses and report.vacuous
     same_report(plan, reference_boundary_report)
+
+
+def test_boundary_witness_follows_the_verdict_precedence(monkeypatch):
+    # as in the runners' verdict table, a vacuous verdict records nothing even with its equality flag set
+    spec = GroupSpec((2, 2))
+    gens = spec.standard_basis()
+    theorem = BOUNDARY_THEOREMS["bl-bound"]
+    params = theorem.params(spec, gens)
+    for fields, kind in [
+        ((False, True, True), "violation"),
+        ((True, True, True), None),
+        ((True, False, True), "equality"),
+        ((True, False, False), None),
+    ]:
+        monkeypatch.setattr(boundary, theorem.kernel, lambda *args, fields=fields: Verdict(*fields))
+        witness = harness._boundary_witness("bl-bound", spec, gens, "standard-basis", params, 0b11, 2, 2)
+        assert (witness and witness["kind"]) == kind, fields
 
 
 CLAIMS_PLANS = [
