@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -119,23 +120,23 @@ class GroupSpec:
 
     Immutable after construction, so instances are safe to share across
     parallel workers.  Each instance keeps four write-once caches invisible to
-    callers: the ``add_perm`` lists, the ``shift_table`` translators and the
-    ``cyclic_closure`` pairs, keyed by element index, and the ``block_roll``
-    masks, keyed by (axis, c).  They live and die with the instance, so a
-    fresh ``GroupSpec`` starts cold.
+    callers: the ``add_perm`` lists, the ``shift_table`` translators (which
+    ``shifter_at`` reads by index) and the ``cyclic_closure`` pairs, keyed by
+    element index, and the ``block_roll`` masks, keyed by (axis, c).  They
+    live and die with the instance, so a fresh ``GroupSpec`` starts cold.
     """
 
     __slots__ = (
         "moduli", "order", "exponent", "strides", "_perm_cache", "_shift_cache", "_cyclic_cache", "_roll_cache"
     )
 
-    def __init__(self, moduli: Sequence[int], max_order: int | None = None):
+    def __init__(self, moduli: Sequence[int]):
         mods = tuple(int(m) for m in moduli)
         if not mods:
             raise ValueError("a group needs at least one cyclic factor")
         if any(m < 2 for m in mods):
             raise ValueError(f"cyclic factor sizes must be at least 2, got {mods}")
-        cap = max_order_cap() if max_order is None else int(max_order)
+        cap = max_order_cap()
         order = prod(mods)
         if order > cap:
             raise ValueError(f"group order {order} exceeds the configured cap {cap}")
@@ -246,6 +247,10 @@ class GroupSpec:
             shifter = Shifter(self, g)
             self._shift_cache[key] = shifter
         return shifter
+
+    def shifter_at(self, r: int) -> Shifter:
+        """``shift_table`` of the element with index r: one lookup once it is cached."""
+        return self._shift_cache.get(r) or self.shift_table(self.element_at(r))
 
     def block_roll(self, axis: int, c: int) -> tuple[int, int, int, int]:
         """(keep, wrap, up, down) of the roll adding c != 0 to coordinate ``axis`` (cached).
@@ -518,9 +523,6 @@ class GeneratorSeq:
         """The sequence with the i-th generator removed (may be empty)."""
         return GeneratorSeq(self.spec, self.elements[:i] + self.elements[i + 1:])
 
-    def as_set(self) -> GroupSet:
-        return GroupSet.from_elements(self.spec, self.elements)
-
     def to_obj(self) -> dict:
         return {"group": self.spec.to_obj(), "elements": [list(g.coords) for g in self.elements]}
 
@@ -643,23 +645,27 @@ def _least_prime_factor(n: int) -> int:
     return n
 
 
-def min_nonzero_order(spec: GroupSpec) -> int:
-    """Smallest order of a non-zero element: the least prime dividing any factor."""
-    if spec.order <= 1:
-        raise ValueError("the trivial group has no non-zero element")
-    return min(_least_prime_factor(m) for m in spec.moduli)
-
-
-def p_ranks(spec: GroupSpec) -> dict[int, int]:
-    """r_p(G) for each prime p dividing |G|: the number of cyclic factors whose order p divides."""
+@lru_cache(maxsize=256)
+def _prime_ranks(moduli: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The (p, r_p) pairs of the group with these moduli, primes in order of first appearance."""
     ranks: dict[int, int] = {}
-    for m in spec.moduli:
+    for m in moduli:
         while m > 1:
             p = _least_prime_factor(m)
             ranks[p] = ranks.get(p, 0) + 1
             while m % p == 0:
                 m //= p
-    return ranks
+    return tuple(ranks.items())
+
+
+def min_nonzero_order(spec: GroupSpec) -> int:
+    """Smallest order of a non-zero element: the least prime dividing any factor (cached by the moduli)."""
+    return min(p for p, _ in _prime_ranks(spec.moduli))
+
+
+def p_ranks(spec: GroupSpec) -> dict[int, int]:
+    """r_p(G) for each prime p dividing |G|: the number of cyclic factors whose order p divides."""
+    return dict(_prime_ranks(spec.moduli))
 
 
 def min_generators(spec: GroupSpec) -> int:

@@ -386,11 +386,24 @@ def _generator_seqs(plan: VerifyPlan, spec: GroupSpec, rng: SplitMix64) -> list[
 # -- witness records: one function per check, shared by its runner and replay ---
 
 
-def _recorded_kind(ok: bool, vacuous: bool, equality: bool) -> str | None:
-    """The record kind for a ``Verdict``'s fields in ``_verdict_code`` precedence; None records nothing."""
-    if not ok:
-        return "violation"
-    return "equality" if equality and not vacuous else None
+# codes of the exhaustive verdict table, in the precedence the runners apply
+_PASS, _VIOLATION, _VACUOUS, _EQUALITY = range(4)
+
+
+def _verdict_code(v: Verdict) -> int:
+    if not v.ok:
+        return _VIOLATION
+    if v.vacuous:
+        return _VACUOUS
+    return _EQUALITY if v.equality else _PASS
+
+
+_RECORDED_KINDS = {_VIOLATION: "violation", _EQUALITY: "equality"}
+
+
+def _recorded_kind(v: Verdict) -> str | None:
+    """The record kind of a verdict's ``_verdict_code``: "violation", "equality", or None to record nothing."""
+    return _RECORDED_KINDS.get(_verdict_code(v))
 
 
 def _coords_of_mask(spec: GroupSpec, mask: int) -> list[list[int]]:
@@ -407,7 +420,7 @@ def _boundary_witness(
     from equality never builds their integers.
     """
     theorem = BOUNDARY_THEOREMS[check]
-    kind = _recorded_kind(*theorem.verdict(params, size, boundary))
+    kind = _recorded_kind(theorem.verdict(params, size, boundary))
     if kind is None:
         return None
     lhs, rhs, gamma = theorem.sides(*params, size, boundary)
@@ -443,7 +456,7 @@ def _claims_witness(spec: GroupSpec, gens: GeneratorSeq, label: str, mask: int, 
 
 def _repa_witness(spec: GroupSpec, mask: int, gamma: Fraction, size: int, popular_size: int, dim: int) -> dict | None:
     """The record of a popular-difference case: a set, its gamma-popular set's size and dimension."""
-    kind = _recorded_kind(*popular_dim_verdict(spec, gamma, size, dim))
+    kind = _recorded_kind(popular_dim_verdict(spec, gamma, size, dim))
     if kind is None:
         return None
     return {
@@ -461,7 +474,7 @@ def _repa_witness(spec: GroupSpec, mask: int, gamma: Fraction, size: int, popula
 
 def _avweight_witness(A: LatticeSet, stats: WeightStats) -> dict | None:
     """The record of a downset and its weight statistics."""
-    kind = _recorded_kind(stats.bound_holds, False, stats.is_equality)
+    kind = _recorded_kind(Verdict(stats.bound_holds, False, stats.is_equality))
     if kind is None:
         return None
     return {
@@ -482,7 +495,7 @@ def _projection_witness(
     """
     size = mask.bit_count()
     sides = lw_plus_sides(dim, size, proj) if check == "lwplus" else loomis_whitney_sides(size, proj)
-    kind = _recorded_kind(*cleared_verdict(*sides))
+    kind = _recorded_kind(cleared_verdict(*sides))
     if kind is None:
         return None
     return {
@@ -510,18 +523,6 @@ def _add_class(report: VerifyReport, label: str, cases: int, vacuous: int, viola
 
 
 # -- theorem runners -----------------------------------------------------------
-
-
-# codes of the exhaustive verdict table, in the precedence the runners apply
-_PASS, _VIOLATION, _VACUOUS, _EQUALITY = range(4)
-
-
-def _verdict_code(v: Verdict) -> int:
-    if not v.ok:
-        return _VIOLATION
-    if v.vacuous:
-        return _VACUOUS
-    return _EQUALITY if v.equality else _PASS
 
 
 def _group_of(plan: VerifyPlan) -> tuple[GroupSpec, SplitMix64]:

@@ -2,12 +2,16 @@
 
 r_A(g) counts ordered pairs of elements of A differing by g; the g-popular
 set at threshold gamma keeps the elements with at least gamma*|A| such
-representations.  The dimension searches below return certified maxima: the
-backtracking is exhaustive and only uses sound prunes.  They run on masks:
-a span or a family of subset sums is a bitmask over element indices, grown by
-the cached translators of ``GroupSpec.cyclic_closure``, so the test "<r> meets
-the span" is one AND with the mask of the non-zero multiples of r and no step
-of a search works element by element.
+representations.  The spectrum takes every difference a - b by mixed-radix
+arithmetic in numpy, one block of rows a at a time, so its time grows like
+|A|**2 * n while each block holds about ``_SPECTRUM_BLOCK`` int64 entries.
+
+Both dimension searches are one exhaustive backtracking routine with sound
+prunes, so they return certified maxima.  Each supplies only its admit rule
+on a mask state: a span, grown by the doubling translators of
+``GroupSpec.cyclic_closure`` and met by <r> iff it meets the mask of the
+non-zero multiples of r, or a family of subset sums, which r keeps
+dissociated iff their translate by r misses them.
 """
 
 from __future__ import annotations
@@ -15,13 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .boundary import VERDICT_CACHE_SIZE, Verdict, cleared_verdict
-from .groups import Element, GroupSet, GroupSpec, min_nonzero_order, p_ranks
+from .groups import Element, GroupSet, GroupSpec, Shifter, min_nonzero_order, p_ranks
 
 DEFAULT_DIM_CAP = 24
+# int64 entries per block of the difference table, about 8 MB
+_SPECTRUM_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class DiffSpectrum:
 
 
 def diff_spectrum(A: GroupSet) -> DiffSpectrum:
-    """All difference counts at once, via vectorized mixed-radix arithmetic."""
+    """All difference counts at once, via vectorized mixed-radix arithmetic on blocks of rows."""
     if len(A) == 0:
         raise ValueError("the difference spectrum requires a non-empty set")
     spec = A.spec
@@ -61,10 +68,12 @@ def diff_spectrum(A: GroupSet) -> DiffSpectrum:
         r, coords[:, i] = np.divmod(r, m)
     moduli = np.asarray(spec.moduli, dtype=np.int64)
     strides = np.asarray(spec.strides, dtype=np.int64)
-    diffs = (coords[:, None, :] - coords[None, :, :]) % moduli
-    ranks = (diffs * strides).sum(axis=2).ravel()
-    counts = np.bincount(ranks, minlength=spec.order)
-    return DiffSpectrum(spec, len(idx), tuple(int(c) for c in counts))
+    counts = np.zeros(spec.order, dtype=np.int64)
+    rows = max(1, _SPECTRUM_BLOCK // coords.size)
+    for lo in range(0, len(idx), rows):
+        diffs = (coords[lo:lo + rows, None, :] - coords[None, :, :]) % moduli
+        counts += np.bincount((diffs * strides).sum(axis=2).ravel(), minlength=spec.order)
+    return DiffSpectrum(spec, len(idx), tuple(counts.tolist()))
 
 
 def popular_diffs(A: GroupSet, gamma: Fraction) -> GroupSet:
@@ -80,113 +89,94 @@ class DimensionResult:
     kind: str
 
 
+def _admit_independent(closure: tuple[int, tuple[Shifter, ...]], span_mask: int) -> int | None:
+    """Span masks: <r> must meet the span only in 0, and the span grows to span + <r>."""
+    multiples, shifters = closure
+    if span_mask & multiples:
+        return None
+    for sh in shifters:
+        span_mask |= sh.apply(span_mask)
+    return span_mask
+
+
+def _admit_dissociated(shifter: Shifter, sums: int) -> int | None:
+    """Subset-sum masks: the sums translated by r must miss the sums, and both families join."""
+    shifted = shifter.apply(sums)
+    return None if shifted & sums else sums | shifted
+
+
 def is_dissociated(B: GroupSet, cap: int = DEFAULT_DIM_CAP) -> bool:
-    """True iff all 2**|B| subset sums are pairwise distinct."""
+    """True iff all 2**|B| subset sums are pairwise distinct; 0 in B fails, as {0} sums like the empty set."""
     if len(B) > cap:
         raise ValueError(f"set size {len(B)} exceeds the dissociativity cap {cap}")
-    if B.has_index(0):
-        return False  # the empty sum and {0} both sum to 0
     spec = B.spec
-    sums = 1  # the empty sum
+    sums: int | None = 1  # the empty sum
     for r in B.indices():
-        shifted = spec.cyclic_closure(r)[1][0].apply(sums)
-        if shifted & sums:
+        sums = _admit_dissociated(spec.shifter_at(r), sums)
+        if sums is None:
             return False
-        sums |= shifted
     return True
 
 
-def _max_power_below(base: int, limit: int) -> int:
-    """Largest k with base**k <= limit."""
-    k = 0
-    acc = base
-    while acc <= limit:
-        k += 1
-        acc *= base
-    return k
+def _largest_subset(P: GroupSet, cap: int, kind: str, upper: int, prepare: Callable, admit: Callable) -> DimensionResult:
+    """The largest set of non-zero elements of P that ``admit`` accepts, by exhaustive backtracking.
+
+    ``prepare(spec, r)`` is computed once per candidate r, and
+    ``admit(datum, state)`` takes the mask state of a chosen subset to the
+    state with that candidate added, or to None when it cannot join.
+    Candidates are tried in index order from the state 1 (the mask of {0}).
+    A branch is cut only when its remaining candidates cannot beat the best
+    set found, and the search stops once a set of the structural bound
+    ``upper`` has been found, so the result is a certified maximum and its
+    witness the first maximal set in that order.
+    """
+    if len(P) > cap:
+        raise ValueError(f"set size {len(P)} exceeds the search cap {cap}")
+    spec = P.spec
+    cands = [r for r in P.indices() if r != 0]
+    data = [prepare(spec, r) for r in cands]
+    best_size = 0
+    best: tuple[int, ...] = ()
+
+    def grow(start: int, chosen: tuple[int, ...], state: int) -> None:
+        nonlocal best_size, best
+        if len(chosen) > best_size:
+            best_size, best = len(chosen), chosen
+        if best_size == upper or len(chosen) + (len(cands) - start) <= best_size:
+            return
+        for j in range(start, len(cands)):
+            grown = admit(data[j], state)
+            if grown is None:
+                continue
+            grow(j + 1, chosen + (cands[j],), grown)
+            if best_size == upper:
+                return
+
+    grow(0, (), 1)
+    return DimensionResult(best_size, GroupSet.from_indices(spec, best), kind)
 
 
 def dim_independent(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
     """Size of the largest independent subset of P, by exhaustive backtracking.
 
     Zero never participates: it contributes order 1 and is excluded from the
-    candidate pool.  Prunes are sound (candidate count), and the search stops
-    early only once a set matching the structural bound has been found: the
-    smaller of floor(log_p |G|), from prod(ord) <= |G| with p the least
-    non-zero order, and the p-rank sum of G, since every non-trivial cyclic
-    summand of an independent set adds at least 1 to some p-rank of the
-    subgroup it spans, and no p-rank of a subgroup exceeds r_p(G).
+    candidate pool.  The structural bound is the p-rank sum of G, since every
+    non-trivial cyclic summand of an independent set adds at least 1 to some
+    p-rank of the subgroup it spans, and no p-rank of a subgroup exceeds
+    r_p(G).  It is at most floor(log_p |G|) for the least prime p, as the
+    elements of prime order span a subgroup of order prod p**r_p(G).
     """
-    if len(P) > cap:
-        raise ValueError(f"set size {len(P)} exceeds the search cap {cap}")
-    spec = P.spec
-    cands = [r for r in P.indices() if r != 0]
-    if not cands:
-        return DimensionResult(0, GroupSet.empty(spec), "independent")
-    upper = min(_max_power_below(min_nonzero_order(spec), spec.order), sum(p_ranks(spec).values()))
-    # non-zero multiples of each candidate and the doubling shifters of <r>
-    closures = [spec.cyclic_closure(r) for r in cands]
-
-    best_size = 0
-    best: tuple[int, ...] = ()
-
-    def grow(start: int, chosen: tuple[int, ...], span_mask: int) -> None:
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size, best = len(chosen), chosen
-        if best_size == upper or len(chosen) + (len(cands) - start) <= best_size:
-            return
-        for j in range(start, len(cands)):
-            multiples, shifters = closures[j]
-            # <r> meets the current span only in 0  <=>  extension stays independent
-            if span_mask & multiples:
-                continue
-            new_span = span_mask
-            for sh in shifters:
-                new_span |= sh.apply(new_span)
-            grow(j + 1, chosen + (cands[j],), new_span)
-            if best_size == upper:
-                return
-
-    grow(0, (), 1)
-    return DimensionResult(best_size, GroupSet.from_indices(spec, best), "independent")
+    upper = sum(p_ranks(P.spec).values())
+    return _largest_subset(P, cap, "independent", upper, GroupSpec.cyclic_closure, _admit_independent)
 
 
 def dim_dissociated(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
     """Size of the largest dissociated subset of P, by exhaustive backtracking.
 
-    Subset sums are a mask; adding r keeps the set dissociated iff the sums
-    translated by r miss the sums.
+    Its 2**k subset sums are distinct elements, so k <= floor(log2 |G|).
     """
-    if len(P) > cap:
-        raise ValueError(f"set size {len(P)} exceeds the search cap {cap}")
-    spec = P.spec
-    cands = [r for r in P.indices() if r != 0]
-    if not cands:
-        return DimensionResult(0, GroupSet.empty(spec), "dissociated")
-    upper = _max_power_below(2, spec.order)
-    # the first doubling shifter of <r> translates by r itself
-    shifters = [spec.cyclic_closure(r)[1][0] for r in cands]
-
-    best_size = 0
-    best: tuple[int, ...] = ()
-
-    def grow(start: int, chosen: tuple[int, ...], sums: int) -> None:
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size, best = len(chosen), chosen
-        if best_size == upper or len(chosen) + (len(cands) - start) <= best_size:
-            return
-        for j in range(start, len(cands)):
-            shifted = shifters[j].apply(sums)
-            if shifted & sums:
-                continue
-            grow(j + 1, chosen + (cands[j],), sums | shifted)
-            if best_size == upper:
-                return
-
-    grow(0, (), 1)
-    return DimensionResult(best_size, GroupSet.from_indices(spec, best), "dissociated")
+    upper = P.spec.order.bit_length() - 1
+    return _largest_subset(P, cap, "dissociated", upper, GroupSpec.shifter_at, _admit_dissociated)
 
 
 # -- popular-difference dimension bound -----------------------------------------

@@ -207,8 +207,6 @@ def test_span_closed_under_add_and_negation():
 
 
 def test_group_size_cap(monkeypatch):
-    with pytest.raises(ValueError):
-        GroupSpec([2] * 4, max_order=8)
     monkeypatch.setenv(MAX_ORDER_ENV, "8")
     with pytest.raises(ValueError):
         GroupSpec([2] * 4)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +25,7 @@ from isoperim import (
     popular_dim_bound_holds,
     span,
 )
+from isoperim import popular
 from isoperim.groups import min_nonzero_order, p_ranks
 from isoperim.prng import SplitMix64
 
@@ -68,9 +70,9 @@ def test_spectrum_of_subgroup():
         assert sp.counts[r] == expected
 
 
-def test_spectrum_matches_brute_force():
+def test_spectrum_matches_brute_force(monkeypatch):
     rng = SplitMix64(31)
-    for moduli in [(2, 4), (3, 3), (2, 2, 2)]:
+    for moduli in [(2, 4), (3, 3), (2, 2, 2), (12,), (2, 3, 5), (4, 4), (3, 3, 3), (2, 8)]:
         spec = GroupSpec(moduli)
         for _ in range(20):
             A = GroupSet(spec, rng.nonempty_mask(spec.order))
@@ -78,6 +80,24 @@ def test_spectrum_matches_brute_force():
             oracle = brute_force_spectrum(A)
             for r in range(spec.order):
                 assert sp.counts[r] == oracle.get(spec.element_at(r).coords, 0)
+            with monkeypatch.context() as m:
+                m.setattr(popular, "_SPECTRUM_BLOCK", 1)  # one row of differences per block
+                assert diff_spectrum(A) == sp
+
+
+def test_spectrum_memory_stays_bounded_on_dense_sets():
+    # dense sets on C2^12 and C_4096: a whole |A| x |A| difference table peaks near 800 MB and 90 MB
+    for moduli in [(2,) * 12, (4096,)]:
+        spec = GroupSpec(moduli)
+        A = GroupSet(spec, SplitMix64(41).mask_bits(spec.order))
+        tracemalloc.start()
+        try:
+            sp = diff_spectrum(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.counts[0] == len(A) > 1800 and sum(sp.counts) == len(A) ** 2
+        assert peak < 64 << 20
 
 
 def test_spectrum_invariants():
