@@ -182,8 +182,8 @@ def edge_boundary(A: GroupSet, S: GeneratorSeq, rank: int | None = None) -> Boun
     counts = boundary_counts(A, S)
     total = sum(counts)
     size = len(A)
-    gamma = 1 - Fraction(total, len(S) * size)
-    gamma_rank = None if rank is None else 1 - Fraction(total, rank * size)
+    gamma = gamma_star(total, len(S), size)
+    gamma_rank = None if rank is None else gamma_star(total, rank, size)
     return BoundaryStats(total, counts, size, len(S), gamma, gamma_rank)
 
 

@@ -26,10 +26,6 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_params(text: str) -> dict[str, int]:
     out = {}
     for part in text.split(","):
@@ -42,33 +38,30 @@ def _parse_params(text: str) -> dict[str, int]:
     return out
 
 
-def _cmd_boundary(args: argparse.Namespace) -> int:
+def _load_inputs(args: argparse.Namespace) -> tuple[GroupSet, GeneratorSeq | None]:
+    """The --set file and the --gens file of a command that takes one, each checked against the --group file."""
     spec = GroupSpec.from_obj(_load_json(args.group))
     A = GroupSet.from_obj(_load_json(args.set))
-    S = GeneratorSeq.from_obj(_load_json(args.gens))
-    if A.spec != spec or S.spec != spec:
+    S = GeneratorSeq.from_obj(_load_json(args.gens)) if "gens" in args else None
+    if A.spec != spec or (S is not None and S.spec != spec):
         raise ValueError("set/generator files disagree with the group file")
+    return A, S
+
+
+def _cmd_boundary(args: argparse.Namespace) -> int:
+    A, S = _load_inputs(args)
     stats = edge_boundary(A, S, rank=args.rank)
     print(json.dumps(stats.to_obj(), indent=2))
     return 0
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    spec = GroupSpec.from_obj(_load_json(args.group))
-    S = GeneratorSeq.from_obj(_load_json(args.gens))
-    A = GroupSet.from_obj(_load_json(args.set))
-    if A.spec != spec or S.spec != spec:
-        raise ValueError("set/generator files disagree with the group file")
+    A, S = _load_inputs(args)
     ctx = CompressionContext(S)
     before = edge_boundary(A, S)
     out = compress_along(A, ctx, args.step) if args.step is not None else full_compress(A, ctx)
     after = edge_boundary(out, S)
-    print(
-        json.dumps(
-            {"set": out.to_obj()["elements"], "before": before.to_obj(), "after": after.to_obj()},
-            indent=2,
-        )
-    )
+    print(json.dumps({"set": out.coords(), "before": before.to_obj(), "after": after.to_obj()}, indent=2))
     return 0
 
 
@@ -98,17 +91,14 @@ def _cmd_downset_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_popdiff(args: argparse.Namespace) -> int:
-    spec = GroupSpec.from_obj(_load_json(args.group))
-    A = GroupSet.from_obj(_load_json(args.set))
-    if A.spec != spec:
-        raise ValueError("set file disagrees with the group file")
-    gamma = _parse_fraction(args.gamma)
+    A, _ = _load_inputs(args)
+    gamma = Fraction(args.gamma)
     spectrum = diff_spectrum(A)
     P = spectrum.popular(gamma)
     payload: dict = {
         "size": len(A),
         "gamma": str(gamma),
-        "popular": P.to_obj()["elements"],
+        "popular": P.coords(),
         "popular_size": len(P),
         "spectrum_max_nonzero": max(
             (c for r, c in enumerate(spectrum.counts) if r != 0), default=0
@@ -120,7 +110,7 @@ def _cmd_popdiff(args: argparse.Namespace) -> int:
         payload["dimension"] = {
             "kind": result.kind,
             "value": result.value,
-            "witness": result.witness.to_obj()["elements"],
+            "witness": result.witness.coords(),
         }
     print(json.dumps(payload, indent=2))
     return 0
@@ -148,7 +138,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
         "id": instance.example_id,
         "params": instance.params,
         "group": instance.spec.to_obj(),
-        "set": instance.subset.to_obj()["elements"],
+        "set": instance.subset.coords(),
         "generators": instance.gens.to_obj()["elements"],
         "expected": {k: jsonable(v) for k, v in instance.expected.items()},
         "computed": {k: jsonable(v) for k, v in instance.computed.items()},

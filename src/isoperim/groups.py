@@ -88,20 +88,17 @@ class Shifter:
     int constants keep the array uint32.  This is the hot path of boundary counting.
     """
 
-    __slots__ = ("spec", "g", "_rolls", "_perm")
+    __slots__ = ("spec", "g", "_rolls")
 
     def __init__(self, spec: GroupSpec, g: Element):
         self.spec = spec
         self.g = g
         self._rolls = tuple(spec.block_roll(axis, c) for axis, c in enumerate(g.coords) if c)
-        self._perm: list[int] | None = None
 
     @property
     def perm(self) -> list[int]:
-        """The index permutation of x -> x + g, ``GroupSpec.add_perm(g)``, built on first use."""
-        if self._perm is None:
-            self._perm = self.spec.add_perm(self.g)
-        return self._perm
+        """The index permutation of x -> x + g: ``GroupSpec.add_perm(g)``, from the spec's cache."""
+        return self.spec.add_perm(self.g)
 
     def apply(self, masks: int | np.ndarray) -> int | np.ndarray:
         """The image of an int mask, or of each entry of a uint32 array (``OverflowError`` past 32 elements)."""
@@ -400,6 +397,10 @@ class GroupSet:
     def elements(self) -> list[Element]:
         return [self.spec.element_at(r) for r in self.indices()]
 
+    def coords(self) -> list[list[int]]:
+        """The members' coordinate lists in index order, as ``to_obj`` writes them."""
+        return [list(self.spec.coords_at(r)) for r in self.indices()]
+
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements())
 
@@ -468,10 +469,7 @@ class GroupSet:
     # -- serialization ---------------------------------------------------------
 
     def to_obj(self) -> dict:
-        return {
-            "group": self.spec.to_obj(),
-            "elements": [list(self.spec.coords_at(r)) for r in self.indices()],
-        }
+        return {"group": self.spec.to_obj(), "elements": self.coords()}
 
     @classmethod
     def from_obj(cls, obj: dict) -> GroupSet:
@@ -673,26 +671,18 @@ def min_generators(spec: GroupSpec) -> int:
     return max(p_ranks(spec).values())
 
 
-def _require_subgroup(H: GroupSet) -> None:
-    spec = H.spec
-    if not H.has_index(0):
-        raise NotASubgroupError("subgroup must contain 0")
-    for r in H.indices():
-        g = spec.element_at(r)
-        if spec.shift_table(g).apply(H.mask) != H.mask:
-            raise NotASubgroupError(f"set is not closed under adding {g!r}")
-
-
 def coset_decompose(A: GroupSet, H: GroupSet) -> list[tuple[Element, GroupSet]]:
     """Partition of A by the cosets of the subgroup H.
 
     Each part's representative is its least-index member, so translating the
     part by the negated representative lands inside H.  Raises
-    NotASubgroupError if H is not closed.
+    NotASubgroupError unless H is its own span, decided by ``coords_span_order``.
     """
     if A.spec != H.spec:
         raise SpecMismatchError("set and subgroup live in different groups")
-    _require_subgroup(H)
+    # H lies in <H>, so |<H>| = |H| forces H = <H>
+    if not (H.has_index(0) and coords_span_order(H.spec.moduli, H.coords()) == len(H)):
+        raise NotASubgroupError(f"a set of {len(H)} elements of {H.spec!r} is not a subgroup: it is not its own span")
     spec = A.spec
     parts: list[tuple[Element, GroupSet]] = []
     remaining = A.mask

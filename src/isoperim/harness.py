@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .boundary import BOUNDARY_THEOREMS, Verdict, boundary_counts, cleared_verdict, edge_boundary, power_product
+from .boundary import BOUNDARY_THEOREMS, Powers, Verdict, boundary_counts, cleared_verdict, edge_boundary, power_product
 from .compression import CompressionContext
 from .groups import (
     Element,
@@ -49,6 +49,7 @@ from .groups import (
 from .lattice import (
     LatticeSet,
     WeightStats,
+    _box_dims,
     box_projector,
     loomis_whitney_sides,
     lw_plus_sides,
@@ -282,11 +283,7 @@ def enumerate_downsets(box: Sequence[int]) -> Iterator[LatticeSet]:
     weakly decreasing chain of lower-dimensional downsets, so nothing is
     filtered and the empty set appears exactly once.
     """
-    dims = tuple(int(b) for b in box)
-    if not dims:
-        raise ValueError("the box needs at least one axis")
-    if any(b < 0 for b in dims):
-        raise ValueError("box bounds must be non-negative")
+    dims = _box_dims(box)
     cells = prod(b + 1 for b in dims)
     if cells > DOWNSET_CELL_BUDGET:
         raise ValueError(f"box holds {cells} lattice points, over the {DOWNSET_CELL_BUDGET} budget")
@@ -294,16 +291,12 @@ def enumerate_downsets(box: Sequence[int]) -> Iterator[LatticeSet]:
         yield LatticeSet(len(dims), pts)
 
 
-def _downset_point_sets(dims: tuple[int, ...]) -> list[frozenset]:
-    return list(_downset_chains(dims))
-
-
 def _downset_chains(dims: tuple[int, ...]) -> Iterator[frozenset]:
     if not dims:
         yield frozenset()
         yield frozenset({()})
         return
-    lower = sorted(_downset_point_sets(dims[:-1]), key=lambda s: (len(s), sorted(s)))
+    lower = sorted(_downset_chains(dims[:-1]), key=lambda s: (len(s), sorted(s)))
     top = dims[-1]
     base_full = lower[-1]
 
@@ -406,8 +399,15 @@ def _recorded_kind(v: Verdict) -> str | None:
     return _RECORDED_KINDS.get(_verdict_code(v))
 
 
-def _coords_of_mask(spec: GroupSpec, mask: int) -> list[list[int]]:
-    return [list(spec.coords_at(r)) for r in iter_bits(mask)]
+# a witness side is written in decimal up to this many bits (under 640 digits, the least
+# int-to-str limit CPython allows) and as its exact power terms beyond
+_DECIMAL_SIDE_BITS = 2000
+
+
+def _side_text(terms: Powers) -> str:
+    """A witness side: its product in decimal, or past ``_DECIMAL_SIDE_BITS`` its terms as ``base^exp*...``."""
+    value = power_product(terms)
+    return str(value) if value.bit_length() <= _DECIMAL_SIDE_BITS else "*".join(f"{b}^{e}" for b, e in terms)
 
 
 def _boundary_witness(
@@ -417,7 +417,7 @@ def _boundary_witness(
     """The record of a boundary case, with the (lhs, rhs, slack) of its cleared inequality.
 
     The sides are multiplied out only for a recorded case, so a verdict far
-    from equality never builds their integers.
+    from equality never builds their integers, and ``_side_text`` writes them.
     """
     theorem = BOUNDARY_THEOREMS[check]
     kind = _recorded_kind(theorem.verdict(params, size, boundary))
@@ -430,12 +430,12 @@ def _boundary_witness(
         "label": label,
         "group": spec.to_obj(),
         "generators": [list(s.coords) for s in gens],
-        "set": _coords_of_mask(spec, mask),
+        "set": GroupSet(spec, mask).coords(),
         "size": size,
         "boundary": boundary,
         "gamma_star": None if gamma is None else str(gamma),
-        "lhs": str(power_product(lhs)),
-        "rhs": str(power_product(rhs)),
+        "lhs": _side_text(lhs),
+        "rhs": _side_text(rhs),
     }
 
 
@@ -449,7 +449,7 @@ def _claims_witness(spec: GroupSpec, gens: GeneratorSeq, label: str, mask: int, 
         "label": label,
         "group": spec.to_obj(),
         "generators": [list(s.coords) for s in gens],
-        "set": _coords_of_mask(spec, mask),
+        "set": GroupSet(spec, mask).coords(),
         "problems": problems,
     }
 
@@ -463,7 +463,7 @@ def _repa_witness(spec: GroupSpec, mask: int, gamma: Fraction, size: int, popula
         "kind": kind,
         "check": "repa",
         "group": spec.to_obj(),
-        "set": _coords_of_mask(spec, mask),
+        "set": GroupSet(spec, mask).coords(),
         "gamma": str(Fraction(gamma)),
         "size": size,
         "popular_size": popular_size,
@@ -629,7 +629,7 @@ def _run_claims(plan: VerifyPlan, report: VerifyReport) -> None:
                     bad = _claims_problems(ctx, mask, int(sizes[r]), bounds[:, r].tolist())
                     if not bad:
                         raise RuntimeError(
-                            f"compression kernels disagree: the array checks flag {_coords_of_mask(spec, mask)}"
+                            f"compression kernels disagree: the array checks flag {GroupSet(spec, mask).coords()}"
                             " but the per-mask checks pass it"
                         )
                     vios += len(bad)
@@ -693,7 +693,7 @@ def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
         raise ValueError("lwplus needs a bounding box")
     if plan.mode != "sample":
         raise ValueError("lwplus runs in sample mode")
-    dims = tuple(int(b) for b in plan.box)
+    dims = _box_dims(plan.box)
     cells = list(_cartesian(*[range(b + 1) for b in dims]))
     projections = box_projector(dims)
     rng = SplitMix64(plan.seed)

@@ -120,6 +120,16 @@ def projection_sizes(A: LatticeSet) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _box_dims(box: Sequence[int]) -> tuple[int, ...]:
+    """The bounds b_i of a box prod_i [0, b_i] as ints: at least one, each non-negative."""
+    dims = tuple(int(b) for b in box)
+    if not dims:
+        raise ValueError("the box needs at least one axis")
+    if min(dims) < 0:
+        raise ValueError("box bounds must be non-negative")
+    return dims
+
+
 def box_projector(box: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
     """|pi_i(A)| for each i, for sets A of the box prod_i [0, b_i] given as masks.
 
@@ -129,11 +139,7 @@ def box_projector(box: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
     c = 0..b_i.  The planes and shifts are built once per box; the returned
     function needs no per-point work.  ``projection_sizes`` is its oracle.
     """
-    dims = tuple(int(b) for b in box)
-    if not dims:
-        raise ValueError("the box needs at least one axis")
-    if min(dims) < 0:
-        raise ValueError("box bounds must be non-negative")
+    dims = _box_dims(box)
     cells = prod(b + 1 for b in dims)
     folds = []
     stride = cells

@@ -210,10 +210,8 @@ def popular_dim_bound_holds(A: GroupSet, gamma: Fraction, cap: int = DEFAULT_DIM
     with p the smallest order of a non-zero group element.
     """
     gamma = Fraction(gamma)
-    if not 0 < gamma <= 1:
-        raise ValueError(f"threshold must lie in (0, 1], got {gamma}")
     if len(A) == 0:
         raise ValueError("the bound requires a non-empty set")
-    P = popular_diffs(A, gamma)
+    P = popular_diffs(A, gamma)  # which rejects a threshold outside (0, 1]
     dim = dim_independent(P, cap=cap).value
     return popular_dim_verdict(A.spec, gamma, len(A), dim).ok

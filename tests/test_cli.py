@@ -167,6 +167,7 @@ def test_verify_command_rejects_random_policies_without_sets(capsys, tmp_path, t
         ({"theorem": "exp234", "group": {"moduli": [4, 4]}, "mode": "sample", "sample_size": 5,
           "generators": {"policy": "random-generating", "count": 4, "independent": True}}, "p-ranks"),
         ({"theorem": "lwplus", "box": [2, -1], "mode": "sample", "sample_size": 5}, "non-negative"),
+        ({"theorem": "avweight", "box": [2, -1]}, "non-negative"),
     ],
 )
 def test_verify_command_rejects_infeasible_plans_at_once(capsys, tmp_path, plan_obj, message):
@@ -232,3 +233,20 @@ def test_internal_errors_exit_three(capsys, monkeypatch, tmp_path):
     monkeypatch.setitem(harness._EXAMPLES, "ex3", broken_box)
     assert main(["example", "--id", "ex3", "--params", "m=5,t=2,n=3"]) == 3
     assert "self-check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["boundary", "compress", "popdiff"])
+def test_input_files_must_agree_with_the_group_file(capsys, tmp_path, c24_files, command):
+    group, subset, gens = c24_files
+    other = tmp_path / "G8.json"
+    other.write_text(json.dumps({"moduli": [8]}))
+    argv = [command, "--group", str(other), "--set", str(subset)]
+    argv += ["--gamma", "1/2"] if command == "popdiff" else ["--gens", str(gens)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: set/generator files disagree with the group file\n"
+    if command != "popdiff":
+        # a generator file of another group fails alike
+        gens8 = tmp_path / "S8.json"
+        gens8.write_text(json.dumps({"group": {"moduli": [8]}, "elements": [[1]]}))
+        assert main([command, "--group", str(group), "--set", str(subset), "--gens", str(gens8)]) == 2
+        assert "disagree with the group file" in capsys.readouterr().err

@@ -338,6 +338,21 @@ def test_coset_decompose_rejects_non_subgroup():
         coset_decompose(GroupSet.full(spec), not_subgroup)
 
 
+@pytest.mark.parametrize("moduli", [(2, 4), (3, 3), (2, 2, 2)])
+def test_coset_decompose_rejects_exactly_the_sets_that_are_not_their_own_span(moduli):
+    spec = GroupSpec(moduli)
+    A = GroupSet.full(spec)
+    for mask in range(1 << spec.order):
+        H = GroupSet(spec, mask)
+        closed = span(GeneratorSeq(spec, H.elements())) == H
+        assert closed <= H.has_index(0)
+        if closed:
+            assert sum(len(part) for _, part in coset_decompose(A, H)) == spec.order
+        else:
+            with pytest.raises(NotASubgroupError):
+                coset_decompose(A, H)
+
+
 # -- the roll kernel against the per-element permutation ----------------------
 
 
@@ -395,7 +410,7 @@ def test_shifter_apply_array_needs_a_small_group():
 def test_shifter_perm_is_the_add_perm_list():
     spec = GroupSpec([3, 4])
     g = spec.element([2, 1])
-    assert spec.shift_table(g).perm == spec.add_perm(g)
+    assert spec.shift_table(g).perm is spec.add_perm(g)  # one cache: the spec's
 
 
 @pytest.mark.parametrize(

@@ -614,3 +614,32 @@ def test_claims_replay_checks_the_recorded_problems(monkeypatch):
     w = report.violations[0]
     assert not replay_witness(dict(w, problems=["made up"]))
     assert not replay_witness(dict(w, problems=w["problems"][1:]))
+
+
+def test_witness_sides_switch_from_decimal_to_power_terms_past_2000_bits():
+    assert harness._side_text(((2, 1999),)) == str(2**1999)
+    assert harness._side_text(((2, 2000),)) == "2^2000"
+    assert harness._side_text(((3, 5), (7, 2))) == str(3**5 * 7**2)
+    assert harness._side_text(((2, 8192), (8192, 8192))) == "2^8192*8192^8192"
+
+
+def test_large_subcube_equality_witness_builds_replays_and_emits():
+    # A = span(e1..e13) in C2^14: |A| = 8192 and boundary 8192, so bl-bound holds with
+    # equality at 2^8192 * 8192^8192 = 16384^8192, a side of 114,689 bits
+    spec = GroupSpec((2,) * 14)
+    gens = spec.standard_basis()
+    A = span(GeneratorSeq(spec, gens.elements[:13]))
+    params = harness.BOUNDARY_THEOREMS["bl-bound"].params(spec, gens)
+    w = harness._boundary_witness("bl-bound", spec, gens, "standard-basis", params, A.mask, len(A), 8192)
+    assert w["kind"] == "equality" and w["size"] == 8192 == w["boundary"]
+    assert (w["lhs"], w["rhs"]) == ("2^8192*8192^8192", "16384^8192")
+    assert replay_witness(w)
+    for side, value in (("lhs", "2^8193*8192^8192"), ("lhs", "2^8192*8192^8191"), ("rhs", "16384^8191")):
+        assert not replay_witness(dict(w, **{side: value})), (side, value)
+    report = harness.VerifyReport("bl-bound", cases_checked=1, equality_witnesses=[w])
+    assert replay_witness(json.loads(emit_report(report, "json"))["equality_witnesses"][0])
+    assert emit_report(report, "tsv").splitlines()[0].startswith("theorem\t")
+    assert emit_report(report, "text").startswith("PASS bl-bound: 1 cases")
+    # a violation record of that size is written out in the text form too
+    failed = harness.VerifyReport("bl-bound", cases_checked=1, violations=[dict(w, kind="violation")])
+    assert '"lhs": "2^8192*8192^8192"' in emit_report(failed, "text")

@@ -140,10 +140,12 @@ def test_box_projector_matches_projection_sizes_on_seeded_masks(box):
 
 
 def test_box_projector_rejects_bad_boxes():
-    with pytest.raises(ValueError, match="at least one axis"):
-        box_projector(())
-    with pytest.raises(ValueError, match="non-negative"):
-        box_projector((2, -1))
+    # one check serves the projector and the downset enumeration, with one message per fault
+    for reader in (box_projector, lambda box: next(enumerate_downsets(box))):
+        with pytest.raises(ValueError, match="^the box needs at least one axis$"):
+            reader(())
+        with pytest.raises(ValueError, match="^box bounds must be non-negative$"):
+            reader((1, -1))
 
 
 def test_downset_hyperplane_identity():
