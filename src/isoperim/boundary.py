@@ -8,9 +8,9 @@ near equality (and whenever the operands are small), so an equality is always
 decided exactly and a verdict near one never flips because of floating point.
 
 ``BOUNDARY_THEOREMS`` gives each bound one entry: a hypothesis check run once
-per generator sequence, the sides of its cleared inequality, and the cached
-classify_* kernel that takes its verdict from those sides.  The verification
-runners, the *_holds predicates and witness replay all read it.
+per generator sequence, the sides of its cleared inequality with its slack,
+and the classify_* kernel that ``_kernel`` derives from those sides.  The
+verification runners, the *_holds predicates and witness replay all read it.
 """
 
 from __future__ import annotations
@@ -157,18 +157,10 @@ class BoundaryStats:
 
 
 def boundary_counts(A: GroupSet, S: GeneratorSeq) -> tuple[int, ...]:
-    """Per-generator counts |{a in A : a + s not in A}| via mask translation."""
+    """Per-generator counts |{a in A : a + s not in A}|, each by ``Shifter.boundary``."""
     if A.spec != S.spec:
         raise SpecMismatchError("set and generators live in different groups")
-    spec = A.spec
-    mask = A.mask
-    size = mask.bit_count()
-    counts = []
-    for s in S:
-        # a + s in A  <=>  a in A - s, so intersect with the (-s)-translate.
-        back = spec.shift_table(-s).apply(mask)
-        counts.append(size - (mask & back).bit_count())
-    return tuple(counts)
+    return tuple(A.spec.shift_table(s).boundary(A.mask) for s in S)
 
 
 def edge_boundary(A: GroupSet, S: GeneratorSeq, rank: int | None = None) -> BoundaryStats:
@@ -195,14 +187,26 @@ def gamma_star(boundary: int, n: int, size: int) -> Fraction:
 # -- exact verdict kernels ------------------------------------------------------
 #
 # Each bound clears to one inequality lhs >= rhs between products of powers.
-# Its *_sides function writes that inequality once and returns (lhs, rhs,
-# slack) as power terms; the classify_* kernel takes its verdict from the
-# sides through ``cleared_verdict``, after an integer vacuity test that spares
-# the Fraction when the boundary leaves no positive slack.  The kernels work on
-# plain integers so that exhaustive sweeps can tabulate them;
-# BOUNDARY_THEOREMS below adds the hypothesis checks.
+# Its *_sides function is the one place that inequality and its vacuity are
+# written: it returns (lhs, rhs, slack), the slack None when the bound has
+# none, and ``_kernel`` makes the cached classify_* verdict of those sides.
+# The kernels work on plain integers so that exhaustive sweeps can tabulate
+# them; BOUNDARY_THEOREMS below adds the hypothesis checks.
 
 _VACUOUS = Verdict(True, True, False)
+
+
+def _kernel(sides: Callable[..., tuple[Powers, Powers, Fraction | None]]) -> Callable[..., Verdict]:
+    """The verdict of ``sides(*args)``, cached: vacuous when the slack's numerator is at most 0."""
+
+    @lru_cache(maxsize=VERDICT_CACHE_SIZE)
+    def kernel(*args) -> Verdict:
+        lhs, rhs, slack = sides(*args)
+        if slack is not None and slack.numerator <= 0:
+            return _VACUOUS
+        return cleared_verdict(lhs, rhs)
+
+    return kernel
 
 
 def _root_sides(size: int, base: int, exponent: Fraction, gamma: Fraction) -> tuple[Powers, Powers, Fraction]:
@@ -217,38 +221,16 @@ def log_lower_bound_sides(m: int, order: int, size: int, boundary: int) -> tuple
     return ((m, boundary), (size, size)), ((order, size),), None
 
 
-@lru_cache(maxsize=VERDICT_CACHE_SIZE)
-def classify_log_lower_bound(m: int, order: int, size: int, boundary: int) -> Verdict:
-    """boundary >= size * log_m(order/size), cleared of logarithms."""
-    return cleared_verdict(*log_lower_bound_sides(m, order, size, boundary)[:2])
-
-
 def small_exponent_sides(order: int, rank: int, size: int, boundary: int) -> tuple[Powers, Powers, Fraction]:
     """size >= order**g for the maximal admissible slack g."""
     g = gamma_star(boundary, rank, size)
     return _root_sides(size, order, g, g)
 
 
-@lru_cache(maxsize=VERDICT_CACHE_SIZE)
-def classify_small_exponent(order: int, rank: int, size: int, boundary: int) -> Verdict:
-    """size >= order**g for the maximal admissible slack g (vacuous if g <= 0)."""
-    if boundary >= rank * size:
-        return _VACUOUS
-    return cleared_verdict(*small_exponent_sides(order, rank, size, boundary)[:2])
-
-
 def independence_bound_sides(d: int, n: int, size: int, boundary: int) -> tuple[Powers, Powers, Fraction]:
     """size >= 4**((1 - 1/d) * g * n) with g the maximal admissible slack."""
     g = gamma_star(boundary, n, size)
     return _root_sides(size, 4, Fraction(d - 1, d) * g * n, g)
-
-
-@lru_cache(maxsize=VERDICT_CACHE_SIZE)
-def classify_independence_bound(d: int, n: int, size: int, boundary: int) -> Verdict:
-    """size >= 4**((1 - 1/d) * g * n) with g the maximal admissible slack."""
-    if boundary >= n * size:
-        return _VACUOUS
-    return cleared_verdict(*independence_bound_sides(d, n, size, boundary)[:2])
 
 
 def subgroup_bound_sides(
@@ -262,12 +244,10 @@ def subgroup_bound_sides(
     return _root_sides(size, h_order, g, g)
 
 
-@lru_cache(maxsize=VERDICT_CACHE_SIZE)
-def classify_subgroup_bound(h_order: int, h_rank: int, size: int, boundary: int) -> Verdict:
-    """size >= h_order**g where g is the slack measured against rank(H)."""
-    if h_order > 1 and boundary >= h_rank * size:
-        return _VACUOUS
-    return cleared_verdict(*subgroup_bound_sides(h_order, h_rank, size, boundary)[:2])
+classify_log_lower_bound = _kernel(log_lower_bound_sides)
+classify_small_exponent = _kernel(small_exponent_sides)
+classify_independence_bound = _kernel(independence_bound_sides)
+classify_subgroup_bound = _kernel(subgroup_bound_sides)
 
 
 # -- hypotheses and the theorem registry -----------------------------------------

@@ -18,7 +18,7 @@ from .compression import CompressionContext, compress_along, full_compress
 from .groups import GeneratorSeq, GroupSet, GroupSpec
 from .harness import VerifyPlan, build_example, emit_report, enumerate_downsets, run_verify
 from .lattice import LatticeSet, avg_weight_bound_holds, loomis_whitney_holds, lw_plus_holds, weight_stats, projection_sizes
-from .popular import diff_spectrum, dim_dissociated, dim_independent
+from .popular import DEFAULT_DIM_CAP, diff_spectrum, dim_dissociated, dim_independent
 
 
 def _load_json(path: str) -> dict:
@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--gamma", required=True, help="threshold as p/q")
     p.add_argument("--dim", choices=["independent", "dissociated"], default=None)
-    p.add_argument("--cap", type=int, default=24)
+    p.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP)
     p.set_defaults(fn=_cmd_popdiff)
 
     p = sub.add_parser("verify", help="run a verification plan")
@@ -220,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, IndexError, json.JSONDecodeError) as exc:
+    # malformed inputs: bad JSON is a ValueError, a null or a number for a list a TypeError, gamma 1/0 a ZeroDivisionError
+    except (ValueError, OSError, KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -366,10 +366,7 @@ class GroupSet:
 
     @classmethod
     def from_elements(cls, spec: GroupSpec, elems: Iterable[Element]) -> GroupSet:
-        mask = 0
-        for g in elems:
-            mask |= 1 << spec.index_of(g)
-        return cls(spec, mask)
+        return cls.from_indices(spec, map(spec.index_of, elems))
 
     @classmethod
     def from_indices(cls, spec: GroupSpec, indices: Iterable[int]) -> GroupSet:
@@ -688,9 +685,8 @@ def coset_decompose(A: GroupSet, H: GroupSet) -> list[tuple[Element, GroupSet]]:
     remaining = A.mask
     while remaining:
         r = (remaining & -remaining).bit_length() - 1
-        rep = spec.element_at(r)
-        coset = spec.shift_table(rep).apply(H.mask)
-        part = remaining & coset
-        parts.append((rep, GroupSet(spec, part)))
+        shifter = spec.shifter_at(r)
+        part = remaining & shifter.apply(H.mask)
+        parts.append((shifter.g, GroupSet(spec, part)))
         remaining &= ~part
     return parts

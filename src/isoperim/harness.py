@@ -56,7 +56,7 @@ from .lattice import (
     projection_sizes,
     weight_stats,
 )
-from .popular import diff_spectrum, dim_independent, popular_diffs, popular_dim_verdict
+from .popular import DEFAULT_DIM_CAP, diff_spectrum, dim_independent, popular_diffs, popular_dim_verdict
 from .prng import SplitMix64
 
 EXHAUSTIVE_ORDER_LIMIT = 16  # subset space of at most 2**16 masks
@@ -66,6 +66,7 @@ GENERATOR_DRAW_LIMIT = 1 << 16  # rejection-sampling attempts per generator sequ
 
 # masks per numpy chunk of a whole-family sweep
 _SWEEP_CHUNK = 1 << 16
+_SWEEP_ORDER_LIMIT = 24  # a whole-family sweep walks at most 2**24 masks
 
 
 _PLAN_KEYS = ("theorem", "group", "mode", "sample_size", "seed", "generators", "gammas", "box", "allow_large", "dim_cap")
@@ -133,7 +134,7 @@ class VerifyPlan:
     gammas: tuple[Fraction, ...] = ()
     box: tuple[int, ...] = ()
     allow_large: bool = False
-    dim_cap: int = 24
+    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "sample"):
@@ -171,7 +172,7 @@ class VerifyPlan:
             gammas=tuple(Fraction(g) for g in obj.get("gammas", ())),
             box=tuple(int(b) for b in obj.get("box", ())),
             allow_large=bool(obj.get("allow_large", False)),
-            dim_cap=int(obj.get("dim_cap", 24)),
+            dim_cap=int(obj.get("dim_cap", DEFAULT_DIM_CAP)),
         )
 
 
@@ -219,7 +220,7 @@ def gray_subset_sweep(
     list is reused between steps: consume, do not mutate or store it.
     """
     order = spec.order
-    if order > 24:
+    if order > _SWEEP_ORDER_LIMIT:
         raise ValueError(f"subset sweep over 2**{order} masks is not feasible")
     perms = [spec.add_perm(s) for s in gens]
     iperms = [spec.add_perm(-s) for s in gens]
@@ -230,27 +231,14 @@ def gray_subset_sweep(
     dtot = 0
     for t in range(1, 1 << order):
         x = (t & -t).bit_length() - 1
-        bit = 1 << x
-        if mask & bit:
-            mask ^= bit
-            size -= 1
-            for k, p, ip in active:
-                if not (mask >> p[x]) & 1:
-                    d[k] -= 1
-                    dtot -= 1
-                if (mask >> ip[x]) & 1:
-                    d[k] += 1
-                    dtot += 1
-        else:
-            mask |= bit
-            size += 1
-            for k, p, ip in active:
-                if not (mask >> p[x]) & 1:
-                    d[k] += 1
-                    dtot += 1
-                if (mask >> ip[x]) & 1:
-                    d[k] -= 1
-                    dtot -= 1
+        mask ^= 1 << x
+        step = 1 if (mask >> x) & 1 else -1  # x joins or leaves
+        size += step
+        for k, p, ip in active:
+            # x's own edge x -> x + s, and the edge x - s -> x into it
+            delta = step * ((not (mask >> p[x]) & 1) - ((mask >> ip[x]) & 1))
+            d[k] += delta
+            dtot += delta
         yield mask, size, dtot, d
 
 
@@ -266,7 +254,7 @@ def gray_sweep_chunks(
     on the whole chunk.
     """
     order = spec.order
-    if order > 24:
+    if order > _SWEEP_ORDER_LIMIT:
         raise ValueError(f"subset sweep over 2**{order} masks is not feasible")
     shifters = [spec.shift_table(s) for s in gens]
     end = 1 << order
@@ -669,14 +657,21 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
     _add_class(report, "sampled-sets", cases, 0, len(report.violations), len(report.equality_witnesses))
 
 
-def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
+def _box_of(plan: VerifyPlan, mode: str) -> tuple[tuple[int, ...], str]:
+    """The bounds of the plan's box and its class label, for a lattice check that runs only in ``mode``."""
     if not plan.box:
-        raise ValueError("avweight needs a bounding box")
-    if plan.mode != "exhaustive":
-        raise ValueError("avweight runs in exhaustive mode")
+        raise ValueError(f"{plan.theorem} needs a bounding box")
+    if plan.mode != mode:
+        raise ValueError(f"{plan.theorem} runs in {mode} mode")
+    dims = _box_dims(plan.box)
+    return dims, "box-" + "x".join(map(str, dims))
+
+
+def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
+    dims, label = _box_of(plan, "exhaustive")
     total = 0
     cases = 0
-    for A in enumerate_downsets(plan.box):
+    for A in enumerate_downsets(dims):
         total += 1
         if len(A) == 0:
             continue
@@ -684,16 +679,11 @@ def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
         _file_witness(report, _avweight_witness(A, weight_stats(A)))
     report.details["downsets_enumerated"] = total
     report.details["downsets_checked"] = cases
-    label = "box-" + "x".join(map(str, plan.box))
     _add_class(report, label, cases, 0, len(report.violations), len(report.equality_witnesses))
 
 
 def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
-    if not plan.box:
-        raise ValueError("lwplus needs a bounding box")
-    if plan.mode != "sample":
-        raise ValueError("lwplus runs in sample mode")
-    dims = _box_dims(plan.box)
+    dims, label = _box_of(plan, "sample")
     cells = list(_cartesian(*[range(b + 1) for b in dims]))
     projections = box_projector(dims)
     rng = SplitMix64(plan.seed)
@@ -702,19 +692,15 @@ def _run_lwplus(plan: VerifyPlan, report: VerifyReport) -> None:
         proj = projections(mask)
         for check in ("lwplus", "loomis-whitney"):
             _file_witness(report, _projection_witness(check, len(dims), cells, mask, proj))
-    label = "box-" + "x".join(map(str, dims))
     _add_class(report, label, plan.sample_size, 0, len(report.violations), len(report.equality_witnesses))
 
 
 _RUNNERS: dict[str, Callable[[VerifyPlan, VerifyReport], None]] = {
-    "exp234": _run_boundary_theorem,
-    "cosetdecomp": _run_boundary_theorem,
-    "generalcase": _run_boundary_theorem,
+    **dict.fromkeys(BOUNDARY_THEOREMS, _run_boundary_theorem),
     "avweight": _run_avweight,
     "lwplus": _run_lwplus,
     "repa": _run_repa,
     "claims-compression": _run_claims,
-    "bl-bound": _run_boundary_theorem,
 }
 THEOREM_IDS = tuple(_RUNNERS)
 
@@ -838,7 +824,7 @@ def _self_check(instance: ExampleInstance) -> ExampleInstance:
     return instance
 
 
-def _build_subgroup_union(spec: GroupSpec, m: int, n: int, k: int) -> GroupSet:
+def _build_subgroup_union(spec: GroupSpec, n: int, k: int) -> GroupSet:
     """Union of the k blockwise coordinate subgroups, each of rank n//k."""
     d = n // k
     basis = spec.standard_basis()
@@ -879,7 +865,7 @@ def _example_union_of_subgroups(m: int, n: int, k: int) -> ExampleInstance:
         raise ValueError("need m >= 2 and k | n")
     spec = GroupSpec([m] * n)
     d = n // k
-    A = _build_subgroup_union(spec, m, n, k)
+    A = _build_subgroup_union(spec, n, k)
     gens = spec.standard_basis()
     stats = edge_boundary(A, gens)
     expected = {
@@ -921,7 +907,7 @@ def _example_popular_family(m: int, n: int, k: int) -> ExampleInstance:
         raise ValueError("need m >= 2 and k | n")
     spec = GroupSpec([m] * n)
     d = n // k
-    A = _build_subgroup_union(spec, m, n, k)
+    A = _build_subgroup_union(spec, n, k)
     gens = spec.standard_basis()
     spectrum = diff_spectrum(A)
     r_values = {spectrum.counts[r] for r in A.indices() if r != 0}

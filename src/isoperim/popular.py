@@ -12,18 +12,21 @@ on a mask state: a span, grown by the doubling translators of
 ``GroupSpec.cyclic_closure`` and met by <r> iff it meets the mask of the
 non-zero multiples of r, or a family of subset sums, which r keeps
 dissociated iff their translate by r misses them.
+
+Each form of the dimension bound writes its cleared inequality once, in
+``popular_dim_sides`` or ``popular_dim_exp3_sides``, and ``boundary._kernel``
+derives its classify_* verdict from those sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .boundary import VERDICT_CACHE_SIZE, Verdict, cleared_verdict
+from .boundary import Powers, Verdict, _kernel
 from .groups import Element, GroupSet, GroupSpec, Shifter, min_nonzero_order, p_ranks
 
 DEFAULT_DIM_CAP = 24
@@ -179,21 +182,23 @@ def dim_dissociated(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
     return _largest_subset(P, cap, "dissociated", upper, GroupSpec.shifter_at, _admit_dissociated)
 
 
-# -- popular-difference dimension bound -----------------------------------------
+# -- popular-difference dimension bound: sides and verdict kernels ------------
 
 
-@lru_cache(maxsize=VERDICT_CACHE_SIZE)
-def classify_popular_dim(p: int, gamma: Fraction, size: int, dim: int) -> Verdict:
+def popular_dim_sides(p: int, gamma: Fraction, size: int, dim: int) -> tuple[Powers, Powers, None]:
     """dim <= (2(1-1/p))**-1 gamma**-1 log2(size), cleared to size**(p*b) >= 4**((p-1)*a*dim)."""
     a, b = gamma.numerator, gamma.denominator
-    return cleared_verdict(((size, p * b),), ((4, (p - 1) * a * dim),))
+    return ((size, p * b),), ((4, (p - 1) * a * dim),), None
 
 
-@lru_cache(maxsize=VERDICT_CACHE_SIZE)
-def classify_popular_dim_exp3(gamma: Fraction, size: int, dim: int) -> Verdict:
+def popular_dim_exp3_sides(gamma: Fraction, size: int, dim: int) -> tuple[Powers, Powers, None]:
     """Sharper exponent-3 form: dim <= gamma**-1 log3(size), cleared to size**b >= 3**(a*dim)."""
     a, b = gamma.numerator, gamma.denominator
-    return cleared_verdict(((size, b),), ((3, a * dim),))
+    return ((size, b),), ((3, a * dim),), None
+
+
+classify_popular_dim = _kernel(popular_dim_sides)
+classify_popular_dim_exp3 = _kernel(popular_dim_exp3_sides)
 
 
 def popular_dim_verdict(spec: GroupSpec, gamma: Fraction, size: int, dim: int) -> Verdict:

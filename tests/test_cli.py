@@ -250,3 +250,40 @@ def test_input_files_must_agree_with_the_group_file(capsys, tmp_path, c24_files,
         gens8.write_text(json.dumps({"group": {"moduli": [8]}, "elements": [[1]]}))
         assert main([command, "--group", str(group), "--set", str(subset), "--gens", str(gens8)]) == 2
         assert "disagree with the group file" in capsys.readouterr().err
+
+
+_EXP234 = {"theorem": "exp234", "group": {"moduli": [2, 2]}}
+_REPA = {"theorem": "repa", "group": {"moduli": [2, 2]}}
+
+
+@pytest.mark.parametrize(
+    "plan_obj",
+    [
+        {**_EXP234, "group": {"moduli": 5}},
+        {**_EXP234, "group": None},
+        {**_EXP234, "seed": None},
+        {"theorem": "avweight", "box": 3},
+        {**_REPA, "gammas": 5},
+        {**_EXP234, "generators": {"policy": "fixed-list", "elements": [5]}},
+        {**_REPA, "gammas": ["1/0"]},
+    ],
+)
+def test_malformed_plans_are_usage_errors(capsys, tmp_path, plan_obj):
+    # exit 1 means "violations found": a malformed plan exits 2 with one error line
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_obj))
+    assert main(["verify", "--plan", str(plan)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("elements, gamma", [(5, "1/2"), ([[0, 0], [1, 0]], "1/0")])
+def test_malformed_popdiff_inputs_are_usage_errors(capsys, tmp_path, c24_files, elements, gamma):
+    group, _, _ = c24_files
+    subset = tmp_path / "bad.json"
+    subset.write_text(json.dumps({"group": {"moduli": [2, 4]}, "elements": elements}))
+    assert main(["popdiff", "--group", str(group), "--set", str(subset), "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

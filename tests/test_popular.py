@@ -450,3 +450,25 @@ def test_popular_witness_gives_small_boundary():
         assert all(sp.count_of(s) * gamma.denominator >= gamma.numerator * len(A) for s in S)
         stats = edge_boundary(A, S)
         assert stats.total * gamma.denominator <= (gamma.denominator - gamma.numerator) * len(S) * len(A)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_popular_kernel_verdicts_agree_with_their_sides(p):
+    # ok <=> lhs >= rhs and equality <=> lhs == rhs; the bound has no slack, so nothing is vacuous
+    from isoperim.boundary import power_product
+
+    forms = [(popular.classify_popular_dim, popular.popular_dim_sides, (p,))]
+    if p == 3:
+        forms.append((popular.classify_popular_dim_exp3, popular.popular_dim_exp3_sides, ()))
+    equalities = 0
+    for kernel, sides, lead in forms:
+        for gamma in map(Fraction, ("1/4", "1/2", "2/3", "1")):
+            for size in range(1, 65):
+                for dim in range(9):
+                    v = kernel(*lead, gamma, size, dim)
+                    lhs, rhs, slack = sides(*lead, gamma, size, dim)
+                    lhs, rhs = power_product(lhs), power_product(rhs)
+                    assert slack is None and not v.vacuous
+                    assert v.ok == (lhs >= rhs) and v.equality == (lhs == rhs), (kernel, gamma, size, dim)
+                    equalities += v.equality
+    assert equalities > 0
