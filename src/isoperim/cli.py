@@ -16,7 +16,7 @@ from fractions import Fraction
 from .boundary import edge_boundary
 from .compression import CompressionContext, compress_along, full_compress
 from .groups import GeneratorSeq, GroupSet, GroupSpec
-from .harness import VerifyPlan, build_example, emit_report, enumerate_downsets, run_verify
+from .harness import _EXAMPLES, VerifyPlan, build_example, emit_report, enumerate_downsets, run_verify
 from .lattice import LatticeSet, avg_weight_bound_holds, loomis_whitney_holds, lw_plus_holds, weight_stats, projection_sizes
 from .popular import DEFAULT_DIM_CAP, diff_spectrum, dim_dissociated, dim_independent
 
@@ -199,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("example", help="build a worked example and check its closed forms")
-    p.add_argument("--id", required=True, choices=["ex1", "ex2", "ex3", "ex4"])
+    p.add_argument("--id", required=True, choices=sorted(_EXAMPLES))
     p.add_argument("--params", required=True, help="comma-separated key=value integers")
     p.set_defaults(fn=_cmd_example)
 

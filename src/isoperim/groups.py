@@ -57,10 +57,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 def translate_mask(mask: int, perm: Sequence[int]) -> int:
     """Image of a bitmask under an index permutation (bit-by-bit)."""
     out = 0
-    while mask:
-        lsb = mask & -mask
-        out |= 1 << perm[lsb.bit_length() - 1]
-        mask ^= lsb
+    for i in iter_bits(mask):
+        out |= 1 << perm[i]
     return out
 
 

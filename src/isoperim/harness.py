@@ -21,6 +21,7 @@ Plans reject unknown keys, and a sample plan must draw at least one case.
 
 from __future__ import annotations
 
+import json
 import operator
 import time
 from dataclasses import dataclass, field
@@ -312,8 +313,6 @@ def draw_generating_seq(
     may be zero, and the non-zero entries of an independent sequence are at
     most the p-rank sum), and after ``GENERATOR_DRAW_LIMIT`` rejected attempts.
     """
-    if count < 1:
-        raise ValueError("generator count must be positive")
     need = min_generators(spec)
     if count < need:
         raise ValueError(f"{count} elements cannot generate {spec!r}, which needs {need}")
@@ -638,9 +637,9 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
     if not plan.gammas:
         raise ValueError("repa needs at least one gamma threshold")
     if plan.mode == "sample":
-        masks = [rng.nonempty_mask(spec.order) for _ in range(plan.sample_size)]
+        label, masks = "sampled-sets", [rng.nonempty_mask(spec.order) for _ in range(plan.sample_size)]
     else:
-        masks = range(1, 1 << spec.order)
+        label, masks = "all-sets", range(1, 1 << spec.order)
     dims: dict[int, int] = {}  # popular-set mask -> dimension; the gammas of one set often give the same P
     cases = 0
     for mask in masks:
@@ -654,7 +653,7 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
                 dim = dims[P.mask] = dim_independent(P, cap=plan.dim_cap).value
             cases += 1
             _file_witness(report, _repa_witness(spec, mask, gamma, size, len(P), dim))
-    _add_class(report, "sampled-sets", cases, 0, len(report.violations), len(report.equality_witnesses))
+    _add_class(report, label, cases, 0, len(report.violations), len(report.equality_witnesses))
 
 
 def _box_of(plan: VerifyPlan, mode: str) -> tuple[tuple[int, ...], str]:
@@ -761,10 +760,8 @@ def replay_witness(witness: dict) -> bool:
 
 def emit_report(report: VerifyReport, fmt: str = "text") -> str:
     """Render a report as json, tsv (one row per case class) or text."""
-    import json as _json
-
     if fmt == "json":
-        return _json.dumps(report.to_obj(), indent=2)
+        return json.dumps(report.to_obj(), indent=2)
     if fmt == "tsv":
         lines = ["theorem\tclass\tcases\tvacuous\tviolations\tequalities"]
         for c in report.classes:
@@ -782,14 +779,14 @@ def emit_report(report: VerifyReport, fmt: str = "text") -> str:
         else:
             lines.append(f"FAIL {report.theorem}: {len(report.violations)} violations in {report.cases_checked} cases")
             for w in report.violations[:20]:
-                lines.append("  violation: " + _json.dumps(w, sort_keys=True))
+                lines.append("  violation: " + json.dumps(w, sort_keys=True))
         for c in report.classes:
             lines.append(
                 f"  class {c['label']}: cases={c['cases']} vacuous={c['vacuous']}"
                 f" violations={c['violations']} equalities={c['equalities']}"
             )
         if report.details:
-            lines.append("  details: " + _json.dumps(report.details, sort_keys=True))
+            lines.append("  details: " + json.dumps(report.details, sort_keys=True))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 
@@ -824,18 +821,11 @@ def _self_check(instance: ExampleInstance) -> ExampleInstance:
     return instance
 
 
-def _build_subgroup_union(spec: GroupSpec, n: int, k: int) -> GroupSet:
-    """Union of the k blockwise coordinate subgroups, each of rank n//k."""
-    d = n // k
-    basis = spec.standard_basis()
-    out = GroupSet.empty(spec)
-    for i in range(k):
-        block = GeneratorSeq(spec, basis.elements[i * d : (i + 1) * d])
-        out = out | span(block)
-    return out
+# what each builder returns: (spec, subset, gens, expected, computed)
+_ExampleParts = tuple[GroupSpec, GroupSet, GeneratorSeq, dict, dict]
 
 
-def _example_subgroup_times_basis(m: int, k: int, n: int) -> ExampleInstance:
+def _example_subgroup_times_basis(m: int, k: int, n: int) -> _ExampleParts:
     if not (m >= 2 and 1 <= k <= n):
         raise ValueError("need m >= 2 and 1 <= k <= n")
     spec = GroupSpec([m] * n)
@@ -855,18 +845,19 @@ def _example_subgroup_times_basis(m: int, k: int, n: int) -> ExampleInstance:
         "boundary": stats.total,
         "gamma": stats.gamma,
     }
-    return _self_check(
-        ExampleInstance("ex1", {"m": m, "k": k, "n": n}, spec, A, gens, expected, computed)
-    )
+    return spec, A, gens, expected, computed
 
 
-def _example_union_of_subgroups(m: int, n: int, k: int) -> ExampleInstance:
+def _example_union_of_subgroups(m: int, n: int, k: int) -> _ExampleParts:
     if not (m >= 2 and k >= 1 and n >= 1 and n % k == 0):
         raise ValueError("need m >= 2 and k | n")
     spec = GroupSpec([m] * n)
     d = n // k
-    A = _build_subgroup_union(spec, n, k)
     gens = spec.standard_basis()
+    # the union of the k blockwise coordinate subgroups, each of rank d
+    A = GroupSet.empty(spec)
+    for i in range(k):
+        A = A | span(GeneratorSeq(spec, gens.elements[i * d : (i + 1) * d]))
     stats = edge_boundary(A, gens)
     expected = {
         "set_size": k * (m**d - 1) + 1,
@@ -877,12 +868,10 @@ def _example_union_of_subgroups(m: int, n: int, k: int) -> ExampleInstance:
         # boundary stays strictly below (1 - 1/k) n |A|
         expected["strict_slack"] = True
         computed["strict_slack"] = stats.total * k < (k - 1) * n * len(A)
-    return _self_check(
-        ExampleInstance("ex2", {"m": m, "n": n, "k": k}, spec, A, gens, expected, computed)
-    )
+    return spec, A, gens, expected, computed
 
 
-def _example_box(m: int, t: int, n: int) -> ExampleInstance:
+def _example_box(m: int, t: int, n: int) -> _ExampleParts:
     if not (2 <= t < m and n >= 1):
         raise ValueError("need 2 <= t < m and n >= 1")
     spec = GroupSpec([m] * n)
@@ -897,18 +886,12 @@ def _example_box(m: int, t: int, n: int) -> ExampleInstance:
         "gamma": Fraction(t - 1, t),
     }
     computed = {"set_size": len(A), "boundary": stats.total, "gamma": stats.gamma}
-    return _self_check(
-        ExampleInstance("ex3", {"m": m, "t": t, "n": n}, spec, A, gens, expected, computed)
-    )
+    return spec, A, gens, expected, computed
 
 
-def _example_popular_family(m: int, n: int, k: int) -> ExampleInstance:
-    if not (m >= 2 and k >= 1 and n >= 1 and n % k == 0):
-        raise ValueError("need m >= 2 and k | n")
-    spec = GroupSpec([m] * n)
+def _example_popular_family(m: int, n: int, k: int) -> _ExampleParts:
+    spec, A, gens, _, _ = _example_union_of_subgroups(m, n, k)
     d = n // k
-    A = _build_subgroup_union(spec, n, k)
-    gens = spec.standard_basis()
     spectrum = diff_spectrum(A)
     r_values = {spectrum.counts[r] for r in A.indices() if r != 0}
     gamma = Fraction(m**d, len(A))
@@ -925,12 +908,10 @@ def _example_popular_family(m: int, n: int, k: int) -> ExampleInstance:
         "gamma": gamma,
         "popular_contains_set": A.issubset(P),
     }
-    return _self_check(
-        ExampleInstance("ex4", {"m": m, "n": n, "k": k}, spec, A, gens, expected, computed)
-    )
+    return spec, A, gens, expected, computed
 
 
-_EXAMPLES: dict[str, Callable[..., ExampleInstance]] = {
+_EXAMPLES: dict[str, Callable[..., _ExampleParts]] = {
     "ex1": _example_subgroup_times_basis,
     "ex2": _example_union_of_subgroups,
     "ex3": _example_box,
@@ -947,4 +928,4 @@ def build_example(example_id: str, **params) -> ExampleInstance:
     """
     if example_id not in _EXAMPLES:
         raise ValueError(f"unknown example id {example_id!r}; expected one of {sorted(_EXAMPLES)}")
-    return _EXAMPLES[example_id](**params)
+    return _self_check(ExampleInstance(example_id, params, *_EXAMPLES[example_id](**params)))

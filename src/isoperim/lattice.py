@@ -105,8 +105,6 @@ def weight_stats(A: LatticeSet) -> WeightStats:
 
 def avg_weight_bound_holds(A: LatticeSet) -> bool:
     """Mean weight <= (1/2) log2 |A| for a non-empty downset, decided exactly."""
-    if len(A) == 0:
-        raise ValueError("the bound requires a non-empty set")
     if not is_downset(A):
         raise ValueError("the bound applies to downsets only")
     return weight_stats(A).bound_holds
@@ -170,14 +168,12 @@ def lw_plus_sides(dim: int, size: int, projections: Sequence[int]) -> tuple[Powe
 def lw_plus_feasible(dim: int, size: int, projections: Sequence[int]) -> bool:
     """Exact form of n|A| <= sum|pi_i(A)| + (1/2)|A| log2 |A| on raw counts."""
     if size < 1:
-        raise ValueError("size must be positive")
+        raise ValueError("the inequality requires a non-empty set")
     return compare_powers(*lw_plus_sides(dim, size, projections)) >= 0
 
 
 def lw_plus_holds(A: LatticeSet) -> bool:
     """The projection-sum inequality for any finite non-empty set (downset not required)."""
-    if len(A) == 0:
-        raise ValueError("the inequality requires a non-empty set")
     return lw_plus_feasible(A.dim, len(A), projection_sizes(A))
 
 
@@ -189,13 +185,11 @@ def loomis_whitney_sides(size: int, projections: Sequence[int]) -> tuple[Powers,
 def loomis_whitney_feasible(size: int, projections: Sequence[int]) -> bool:
     """Exact form of prod|pi_i(A)| >= |A|**(n-1) on raw counts."""
     if size < 1:
-        raise ValueError("size must be positive")
+        raise ValueError("the inequality requires a non-empty set")
     return compare_powers(*loomis_whitney_sides(size, projections)) >= 0
 
 
 def loomis_whitney_holds(A: LatticeSet) -> bool:
-    if len(A) == 0:
-        raise ValueError("the inequality requires a non-empty set")
     return loomis_whitney_feasible(len(A), projection_sizes(A))
 
 
@@ -235,8 +229,6 @@ class MultisetFamilyView:
 
 
 def multiset_view(A: LatticeSet) -> MultisetFamilyView:
-    if len(A) == 0:
-        raise ValueError("the family view requires a non-empty set")
     if not is_downset(A):
         raise ValueError("only downsets correspond to monotonic families")
     stats = weight_stats(A)

@@ -215,8 +215,6 @@ def popular_dim_bound_holds(A: GroupSet, gamma: Fraction, cap: int = DEFAULT_DIM
     with p the smallest order of a non-zero group element.
     """
     gamma = Fraction(gamma)
-    if len(A) == 0:
-        raise ValueError("the bound requires a non-empty set")
-    P = popular_diffs(A, gamma)  # which rejects a threshold outside (0, 1]
+    P = popular_diffs(A, gamma)  # which rejects an empty set and a threshold outside (0, 1]
     dim = dim_independent(P, cap=cap).value
     return popular_dim_verdict(A.spec, gamma, len(A), dim).ok

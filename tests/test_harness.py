@@ -164,6 +164,12 @@ def test_run_verify_exhaustive_cap():
         run_verify(plan)
 
 
+def test_all_subsets_policy_over_more_than_ten_elements_requires_allow_large():
+    plan = VerifyPlan(theorem="cosetdecomp", moduli=(11,), generators=GeneratorPolicy(kind="all-subsets"))
+    with pytest.raises(ValueError, match=r"all-subsets policy over \|G\| = 11 requires allow_large"):
+        run_verify(plan)
+
+
 def test_run_verify_hypothesis_validation():
     # exp234 requires exponent <= 4; generalcase requires independence
     with pytest.raises(ValueError):
@@ -303,6 +309,15 @@ def test_repa_plan_equality_replay():
     assert report.passed
     for w in report.violations + report.equality_witnesses:
         assert replay_witness(w)
+
+
+@pytest.mark.parametrize("mode, label, cases", [("exhaustive", "all-sets", 15), ("sample", "sampled-sets", 4)])
+def test_repa_class_label_names_the_mode(mode, label, cases):
+    plan = VerifyPlan(
+        theorem="repa", moduli=(2, 2), mode=mode, sample_size=4 if mode == "sample" else 0, gammas=(Fraction(1, 2),)
+    )
+    report = run_verify(plan)
+    assert [(c["label"], c["cases"]) for c in report.classes] == [(label, cases)]
 
 
 def reference_repa_report(plan):
@@ -452,9 +467,10 @@ def test_example_validation():
 
 
 def test_draw_generating_seq_rejects_too_few_generators():
-    # C2^2 needs two generators; one draw could never generate it
-    with pytest.raises(ValueError, match="needs 2"):
-        draw_generating_seq(GroupSpec([2, 2]), SplitMix64(0), 1)
+    # C2^2 needs two generators; one draw could never generate it, nor can none
+    for count in (1, 0, -1):
+        with pytest.raises(ValueError, match="needs 2"):
+            draw_generating_seq(GroupSpec([2, 2]), SplitMix64(0), count)
     with pytest.raises(ValueError, match="needs 3"):
         draw_generating_seq(GroupSpec([2, 4, 6]), SplitMix64(0), 2)
     # C2 x C3 is cyclic, so one element can generate it

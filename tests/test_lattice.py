@@ -220,6 +220,18 @@ def test_multiset_view():
             assert multiset_view(A).bound_holds == avg_weight_bound_holds(A)
 
 
+def test_empty_sets_are_rejected():
+    # each check defers to the function that needs a non-empty set: weight_stats or a *_feasible
+    empty = LatticeSet(2, [])
+    for check in (avg_weight_bound_holds, multiset_view, lw_plus_holds, loomis_whitney_holds):
+        with pytest.raises(ValueError, match="empty set"):
+            check(empty)
+    with pytest.raises(ValueError, match="the inequality requires a non-empty set"):
+        lw_plus_feasible(2, 0, (0, 0))
+    with pytest.raises(ValueError, match="the inequality requires a non-empty set"):
+        loomis_whitney_feasible(0, (0, 0))
+
+
 def test_multiset_view_requires_downset():
     with pytest.raises(ValueError):
         multiset_view(LatticeSet(2, [(1, 1)]))

@@ -434,6 +434,12 @@ def test_popular_dim_bound_gamma_range():
         popular_dim_bound_holds(GroupSet.full(spec), Fraction(0))
 
 
+def test_popular_dim_bound_rejects_the_empty_set():
+    # the difference spectrum is what rejects it
+    with pytest.raises(ValueError, match="non-empty set"):
+        popular_dim_bound_holds(GroupSet.empty(GroupSpec([2, 2])), Fraction(1, 2))
+
+
 def test_popular_witness_gives_small_boundary():
     # independent S inside the gamma-popular set forces a small edge boundary
     rng = SplitMix64(59)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -21,6 +22,13 @@ from isoperim import (
 from isoperim import boundary, harness
 from isoperim.boundary import BOUNDARY_THEOREMS
 from isoperim.harness import GeneratorPolicy, gray_sweep_chunks
+
+
+def assert_same_list(got: list, want: list, *context) -> None:
+    """got == want, failing at the first differing entry instead of diffing the whole lists."""
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, (i, g, w, *context)
+    assert len(got) == len(want), (len(got), len(want), *context)
 
 
 def kernel_tuples(spec, gens):
@@ -60,7 +68,7 @@ def test_chunks_match_gray_subset_sweep(monkeypatch, moduli, coords, chunk):
     gens = spec.standard_basis() if coords is None else _gens(spec, *coords)
     got = list(kernel_tuples(spec, gens))
     assert len(got) == (1 << spec.order) - 1
-    assert got == list(oracle_tuples(spec, gens))
+    assert_same_list(got, list(oracle_tuples(spec, gens)))
 
 
 def test_sweep_rejects_infeasible_orders():
@@ -133,12 +141,22 @@ def reference_claims_report(plan: VerifyPlan) -> VerifyReport:
     return report
 
 
+def report_entries(report: VerifyReport) -> list[str]:
+    """The report's JSON but for its wall time, one string per field and per list entry, in order."""
+    obj = report.to_obj()
+    obj.pop("wall_time")
+    out = []
+    for key, value in obj.items():
+        if isinstance(value, list):
+            out.append(f"{key}: {len(value)} entries")
+            out.extend(f"{key}[{i}]: {json.dumps(entry)}" for i, entry in enumerate(value))
+        else:
+            out.append(f"{key}: {json.dumps(value)}")
+    return out
+
+
 def same_report(plan: VerifyPlan, reference) -> None:
-    got = run_verify(plan).to_obj()
-    want = reference(plan).to_obj()
-    got.pop("wall_time")
-    want.pop("wall_time")
-    assert json.dumps(got) == json.dumps(want)
+    assert_same_list(report_entries(run_verify(plan)), report_entries(reference(plan)))
 
 
 def _random(count, sets=2, independent=False):
@@ -165,6 +183,15 @@ BOUNDARY_PLANS = [
 @pytest.mark.parametrize("plan", BOUNDARY_PLANS, ids=lambda p: f"{p.theorem}-{p.moduli}-{p.generators.kind}")
 def test_boundary_runner_matches_reference_loop(plan):
     same_report(plan, reference_boundary_report)
+
+
+def test_allow_large_lifts_the_exhaustive_cap():
+    # C17 has 2**17 - 1 non-empty subsets, two chunks at the real sweep chunk size
+    plan = VerifyPlan(theorem="generalcase", moduli=(17,))
+    assert harness._SWEEP_CHUNK < (1 << 17) - 1 <= 2 * harness._SWEEP_CHUNK
+    with pytest.raises(ValueError, match="requires allow_large"):
+        run_verify(plan)
+    same_report(dataclasses.replace(plan, allow_large=True), reference_boundary_report)
 
 
 @pytest.mark.parametrize("theorem", ["bl-bound", "generalcase"])
@@ -281,4 +308,4 @@ def test_compression_array_kernels_match_scalar_forms():
             assert ctx.compress_mask(masks, i).dtype == np.uint32
             for kernel in (ctx.compress_mask, ctx.is_compressed_mask, ctx.boundary_count_mask):
                 got = kernel(masks, i)[picks].tolist()
-                assert got == [kernel(m, i) for m in ints], (gens, i, kernel.__name__)
+                assert_same_list(got, [kernel(m, i) for m in ints], gens, i, kernel.__name__)
