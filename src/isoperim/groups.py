@@ -82,8 +82,9 @@ class Shifter:
     m_i - c move up by c blocks, the others wrap down by m_i - c blocks.  So a
     translation is one block roll per non-zero coordinate, two masks and two
     shifts each (the broadword block roll, Knuth TAOCP 4A, 7.1.3), on a Python
-    int or on a uint32 array alike: under numpy 2's scalar rules (NEP 50) the
-    int constants keep the array uint32.  This is the hot path of boundary counting.
+    int or on a uint32 or uint64 array alike, for |G| <= 32 or |G| <= 64: under
+    numpy 2's scalar rules (NEP 50) the int constants keep the array's dtype.
+    This is the hot path of boundary counting and of the batched difference counts.
     """
 
     __slots__ = ("spec", "g", "_rolls")
@@ -99,13 +100,13 @@ class Shifter:
         return self.spec.add_perm(self.g)
 
     def apply(self, masks: int | np.ndarray) -> int | np.ndarray:
-        """The image of an int mask, or of each entry of a uint32 array (``OverflowError`` past 32 elements)."""
+        """The image of an int mask, or of each entry of a uint32 or uint64 array (``OverflowError`` past its width)."""
         for keep, wrap, up, down in self._rolls:
             masks = ((masks & keep) << up) | ((masks & wrap) >> down)
         return masks
 
     def boundary(self, masks: int | np.ndarray) -> int | np.ndarray:
-        """|{x in m : x + g not in m}| for an int mask m, or for every entry of a uint32 array."""
+        """|{x in m : x + g not in m}| for an int mask m, or for every entry of a uint32 or uint64 array."""
         moved = self.apply(masks) & ~masks
         return moved.bit_count() if isinstance(moved, int) else np.bitwise_count(moved)
 

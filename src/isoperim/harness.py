@@ -57,7 +57,15 @@ from .lattice import (
     projection_sizes,
     weight_stats,
 )
-from .popular import DEFAULT_DIM_CAP, diff_spectrum, dim_independent, popular_diffs, popular_dim_verdict
+from .popular import (
+    DEFAULT_DIM_CAP,
+    diff_counts,
+    diff_spectrum,
+    dim_independent,
+    popular_diffs,
+    popular_dim_verdict,
+    popular_masks,
+)
 from .prng import SplitMix64
 
 EXHAUSTIVE_ORDER_LIMIT = 16  # subset space of at most 2**16 masks
@@ -71,6 +79,13 @@ _SWEEP_ORDER_LIMIT = 24  # a whole-family sweep walks at most 2**24 masks
 
 
 _PLAN_KEYS = ("theorem", "group", "mode", "sample_size", "seed", "generators", "gammas", "box", "allow_large", "dim_cap")
+
+
+def _listed(name: str, value: object) -> list | tuple:
+    """A plan field that must be a list, refused with its name otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"plan field {name!r} must be a list, got {value!r}")
+    return value
 
 
 def _reject_unknown_keys(what: str, obj: dict, known: Sequence[str]) -> None:
@@ -113,12 +128,15 @@ class GeneratorPolicy:
     def from_obj(cls, obj: dict) -> GeneratorPolicy:
         _reject_unknown_keys("generator policy", obj, ("policy", "count", "sets", "independent", "elements"))
         kind = obj["policy"]
+        elements = None
+        if "elements" in obj:
+            elements = tuple(tuple(_listed("elements", c)) for c in _listed("elements", obj["elements"]))
         return cls(
             kind=kind,
             count=int(obj.get("count", 0)),
             sets=int(obj.get("sets", 1)),
             independent=bool(obj.get("independent", False)),
-            elements=tuple(tuple(c) for c in obj["elements"]) if "elements" in obj else None,
+            elements=elements,
         )
 
 
@@ -165,13 +183,13 @@ class VerifyPlan:
             _reject_unknown_keys("group", obj["group"], ("moduli",))
         return cls(
             theorem=obj["theorem"],
-            moduli=tuple(obj["group"]["moduli"]) if "group" in obj else None,
+            moduli=tuple(_listed("moduli", obj["group"]["moduli"])) if "group" in obj else None,
             mode=obj.get("mode", "exhaustive"),
             sample_size=int(obj.get("sample_size", 0)),
             seed=int(obj.get("seed", 0)),
             generators=GeneratorPolicy.from_obj(obj.get("generators", {"policy": "standard-basis"})),
-            gammas=tuple(Fraction(g) for g in obj.get("gammas", ())),
-            box=tuple(int(b) for b in obj.get("box", ())),
+            gammas=tuple(Fraction(g) for g in _listed("gammas", obj.get("gammas", ()))),
+            box=tuple(int(b) for b in _listed("box", obj.get("box", ()))),
             allow_large=bool(obj.get("allow_large", False)),
             dim_cap=int(obj.get("dim_cap", DEFAULT_DIM_CAP)),
         )
@@ -637,22 +655,22 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
     if not plan.gammas:
         raise ValueError("repa needs at least one gamma threshold")
     if plan.mode == "sample":
-        label, masks = "sampled-sets", [rng.nonempty_mask(spec.order) for _ in range(plan.sample_size)]
+        label, batches = "sampled-sets", [[rng.nonempty_mask(spec.order) for _ in range(plan.sample_size)]]
     else:
-        label, masks = "all-sets", range(1, 1 << spec.order)
+        end = 1 << spec.order
+        label, batches = "all-sets", (range(lo, min(lo + _SWEEP_CHUNK, end)) for lo in range(1, end, _SWEEP_CHUNK))
     dims: dict[int, int] = {}  # popular-set mask -> dimension; the gammas of one set often give the same P
     cases = 0
-    for mask in masks:
-        A = GroupSet(spec, mask)
-        spectrum = diff_spectrum(A)
-        size = len(A)
-        for gamma in plan.gammas:
-            P = spectrum.popular(gamma)
-            dim = dims.get(P.mask)
-            if dim is None:
-                dim = dims[P.mask] = dim_independent(P, cap=plan.dim_cap).value
-            cases += 1
-            _file_witness(report, _repa_witness(spec, mask, gamma, size, len(P), dim))
+    for masks in batches:
+        counts = diff_counts(spec, masks)
+        populars = [popular_masks(counts, gamma) for gamma in plan.gammas]
+        for mask, size, popular in zip(masks, counts[0].tolist(), zip(*populars)):
+            for gamma, P in zip(plan.gammas, popular):
+                dim = dims.get(P)
+                if dim is None:
+                    dim = dims[P] = dim_independent(GroupSet(spec, P), cap=plan.dim_cap).value
+                cases += 1
+                _file_witness(report, _repa_witness(spec, mask, gamma, size, P.bit_count(), dim))
     _add_class(report, label, cases, 0, len(report.violations), len(report.equality_witnesses))
 
 

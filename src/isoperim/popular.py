@@ -2,16 +2,25 @@
 
 r_A(g) counts ordered pairs of elements of A differing by g; the g-popular
 set at threshold gamma keeps the elements with at least gamma*|A| such
-representations.  The spectrum takes every difference a - b by mixed-radix
-arithmetic in numpy, one block of rows a at a time, so its time grows like
-|A|**2 * n while each block holds about ``_SPECTRUM_BLOCK`` int64 entries.
+representations.  The spectrum of one set takes every difference a - b by
+mixed-radix arithmetic in numpy, one block of rows a at a time, so its time
+grows like |A|**2 * n while each block holds about ``_SPECTRUM_BLOCK`` int64
+entries.  ``diff_counts`` takes many sets at once on the mask kernel instead,
+r_A(g) = |A & (A + g)|, one translation per g over a whole uint64 array of
+sets (or per int mask past 64 elements); it serves the ``repa`` runner, and
+the single-set spectrum stays as its pairwise oracle.  ``popular_masks``
+holds the one threshold test for both.
 
 Both dimension searches are one exhaustive backtracking routine with sound
 prunes, so they return certified maxima.  Each supplies only its admit rule
 on a mask state: a span, grown by the doubling translators of
 ``GroupSpec.cyclic_closure`` and met by <r> iff it meets the mask of the
 non-zero multiples of r, or a family of subset sums, which r keeps
-dissociated iff their translate by r misses them.
+dissociated iff their translate by r misses them.  Where the admitted sets
+are the independent sets of a matroid (linear independence over F_p: any
+independence in an elementary abelian group, dissociativity at exponent 2
+or 3) the search's first branch, the greedy pass, is its result, and only
+that branch runs.
 
 Each form of the dimension bound writes its cleared inequality once, in
 ``popular_dim_sides`` or ``popular_dim_exp3_sides``, and ``boundary._kernel``
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,15 +56,7 @@ class DiffSpectrum:
 
     def popular(self, gamma: Fraction) -> GroupSet:
         """Elements with at least gamma*|A| representations (exact threshold)."""
-        gamma = Fraction(gamma)
-        if not 0 < gamma <= 1:
-            raise ValueError(f"threshold must lie in (0, 1], got {gamma}")
-        num, den = gamma.numerator, gamma.denominator
-        bar = num * self.size
-        mask = 0
-        for r, c in enumerate(self.counts):
-            if c * den >= bar:
-                mask |= 1 << r
+        (mask,) = popular_masks(np.array(self.counts)[:, None], gamma)
         return GroupSet(self.spec, mask)
 
 
@@ -77,6 +78,45 @@ def diff_spectrum(A: GroupSet) -> DiffSpectrum:
         diffs = (coords[lo:lo + rows, None, :] - coords[None, :, :]) % moduli
         counts += np.bincount((diffs * strides).sum(axis=2).ravel(), minlength=spec.order)
     return DiffSpectrum(spec, len(idx), tuple(counts.tolist()))
+
+
+def diff_counts(spec: GroupSpec, masks: Sequence[int]) -> np.ndarray:
+    """r_A(g) = |A & (A + g)| for every set A of ``masks`` and every g, as a (|G|, sets) int64 array.
+
+    When |G| <= 64 the sets go in one uint64 array, taken with one translation
+    and one popcount per g; above that they stay ints, one translation per set
+    and g.  Row 0 holds the sizes |A|.  ``diff_spectrum`` is its pairwise oracle.
+    """
+    words = np.array(masks, dtype=np.uint64) if spec.order <= 64 else None
+    counts = np.empty((spec.order, len(masks)), dtype=np.int64)
+    for g in range(spec.order):
+        sh = spec.shifter_at(g)
+        if words is None:
+            counts[g] = [(m & sh.apply(m)).bit_count() for m in masks]
+        else:
+            counts[g] = np.bitwise_count(words & sh.apply(words))
+    return counts
+
+
+def popular_masks(counts: np.ndarray, gamma: Fraction) -> list[int]:
+    """The gamma-popular set of each column of a (|G|, sets) count array whose row 0 holds |A|, as int masks.
+
+    Bit g is set iff r(g) * den >= num * |A| for gamma = num/den, an exact
+    integer test; a threshold outside (0, 1] raises ``ValueError``.
+    """
+    gamma = Fraction(gamma)
+    if not 0 < gamma <= 1:
+        raise ValueError(f"threshold must lie in (0, 1], got {gamma}")
+    num, den = gamma.numerator, gamma.denominator
+    if den * int(counts[0].max()) >= 1 << 63:  # r(g) <= |A|, so below this both products fit in int64
+        counts = counts.astype(object)
+    hits = np.asarray(counts * den >= num * counts[0], dtype=bool)
+    packed = np.packbits(hits, axis=0, bitorder="little")
+    if len(hits) <= 64:  # one little-endian uint64 word per set
+        words = np.zeros((hits.shape[1], 8), dtype=np.uint8)
+        words[:, : len(packed)] = packed.T
+        return words.view("<u8").ravel().tolist()
+    return [int.from_bytes(col.tobytes(), "little") for col in packed.T]
 
 
 def popular_diffs(A: GroupSet, gamma: Fraction) -> GroupSet:
@@ -121,6 +161,33 @@ def is_dissociated(B: GroupSet, cap: int = DEFAULT_DIM_CAP) -> bool:
     return True
 
 
+def _candidates(P: GroupSet, cap: int) -> list[int]:
+    """The non-zero elements of P in index order, once P is within the search cap."""
+    if len(P) > cap:
+        raise ValueError(f"set size {len(P)} exceeds the search cap {cap}")
+    return [r for r in P.indices() if r != 0]
+
+
+def _first_branch(P: GroupSet, cap: int, kind: str, upper: int, prepare: Callable, admit: Callable) -> DimensionResult:
+    """The first branch of ``_largest_subset``: each candidate in index order joins if it can, up to ``upper``.
+
+    When the admitted sets are the independent sets of a matroid, every set
+    this pass cannot extend is a largest one, so the backtracking search
+    finds nothing larger after it: this pass gives its value and its witness.
+    """
+    spec = P.spec
+    chosen: list[int] = []
+    state = 1
+    for r in _candidates(P, cap):
+        if len(chosen) == upper:
+            break
+        grown = admit(prepare(spec, r), state)
+        if grown is not None:
+            chosen.append(r)
+            state = grown
+    return DimensionResult(len(chosen), GroupSet.from_indices(spec, chosen), kind)
+
+
 def _largest_subset(P: GroupSet, cap: int, kind: str, upper: int, prepare: Callable, admit: Callable) -> DimensionResult:
     """The largest set of non-zero elements of P that ``admit`` accepts, by exhaustive backtracking.
 
@@ -133,10 +200,8 @@ def _largest_subset(P: GroupSet, cap: int, kind: str, upper: int, prepare: Calla
     ``upper`` has been found, so the result is a certified maximum and its
     witness the first maximal set in that order.
     """
-    if len(P) > cap:
-        raise ValueError(f"set size {len(P)} exceeds the search cap {cap}")
     spec = P.spec
-    cands = [r for r in P.indices() if r != 0]
+    cands = _candidates(P, cap)
     data = [prepare(spec, r) for r in cands]
     best_size = 0
     best: tuple[int, ...] = ()
@@ -160,7 +225,7 @@ def _largest_subset(P: GroupSet, cap: int, kind: str, upper: int, prepare: Calla
 
 
 def dim_independent(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
-    """Size of the largest independent subset of P, by exhaustive backtracking.
+    """Size of the largest independent subset of P, by the greedy pass on elementary groups, else backtracking.
 
     Zero never participates: it contributes order 1 and is excluded from the
     candidate pool.  The structural bound is the p-rank sum of G, since every
@@ -169,17 +234,21 @@ def dim_independent(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
     r_p(G).  It is at most floor(log_p |G|) for the least prime p, as the
     elements of prime order span a subgroup of order prod p**r_p(G).
     """
-    upper = sum(p_ranks(P.spec).values())
-    return _largest_subset(P, cap, "independent", upper, GroupSpec.cyclic_closure, _admit_independent)
+    ranks = p_ranks(P.spec)
+    # in an elementary abelian group independence is linear independence over F_p, a matroid
+    search = _first_branch if P.spec.exponent in ranks else _largest_subset
+    return search(P, cap, "independent", sum(ranks.values()), GroupSpec.cyclic_closure, _admit_independent)
 
 
 def dim_dissociated(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
-    """Size of the largest dissociated subset of P, by exhaustive backtracking.
+    """Size of the largest dissociated subset of P, by the greedy pass at exponent 2 or 3, else backtracking.
 
     Its 2**k subset sums are distinct elements, so k <= floor(log2 |G|).
     """
     upper = P.spec.order.bit_length() - 1
-    return _largest_subset(P, cap, "dissociated", upper, GroupSpec.shifter_at, _admit_dissociated)
+    # for p = 2, 3 the coefficients {-1, 0, 1} cover F_p, so dissociated means linearly independent
+    search = _first_branch if P.spec.exponent in (2, 3) else _largest_subset
+    return search(P, cap, "dissociated", upper, GroupSpec.shifter_at, _admit_dissociated)
 
 
 # -- popular-difference dimension bound: sides and verdict kernels ------------

@@ -254,26 +254,42 @@ _EXP234 = {"theorem": "exp234", "group": {"moduli": [2, 2]}}
 _REPA = {"theorem": "repa", "group": {"moduli": [2, 2]}}
 
 
+# (plan, the field its error names; "" where the error names none)
+_MALFORMED_PLANS = [
+    ({**_EXP234, "group": {"moduli": 5}}, "'moduli'"),
+    ({**_EXP234, "group": None}, ""),
+    ({**_EXP234, "seed": None}, ""),
+    ({"theorem": "avweight", "box": 3}, "'box'"),
+    ({**_REPA, "gammas": 5}, "'gammas'"),
+    ({**_EXP234, "generators": {"policy": "fixed-list", "elements": [5]}}, "'elements'"),
+    ({**_REPA, "gammas": ["1/0"]}, ""),
+    ({**_EXP234, "generators": {"policy": "fixed-list", "elements": 5}}, "'elements'"),
+]
+
+
 @pytest.mark.parametrize(
-    "plan_obj",
-    [
-        {**_EXP234, "group": {"moduli": 5}},
-        {**_EXP234, "group": None},
-        {**_EXP234, "seed": None},
-        {"theorem": "avweight", "box": 3},
-        {**_REPA, "gammas": 5},
-        {**_EXP234, "generators": {"policy": "fixed-list", "elements": [5]}},
-        {**_REPA, "gammas": ["1/0"]},
-    ],
+    "plan_obj, named", _MALFORMED_PLANS, ids=[f"plan_obj{i}" for i in range(len(_MALFORMED_PLANS))]
 )
-def test_malformed_plans_are_usage_errors(capsys, tmp_path, plan_obj):
-    # exit 1 means "violations found": a malformed plan exits 2 with one error line
+def test_malformed_plans_are_usage_errors(capsys, tmp_path, plan_obj, named):
+    # exit 1 means "violations found": a malformed plan exits 2 with one error line,
+    # which names the field when a list field holds something else
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(plan_obj))
     assert main(["verify", "--plan", str(plan)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("gamma", ["3/2", "0", "-1/2"])
+def test_repa_plans_with_a_threshold_outside_the_unit_interval_are_usage_errors(capsys, tmp_path, gamma):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**_REPA, "gammas": ["1/2", gamma]}))
+    assert main(["verify", "--plan", str(plan)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: threshold must lie in (0, 1], got {gamma}\n"
 
 
 @pytest.mark.parametrize("elements, gamma", [(5, "1/2"), ([[0, 0], [1, 0]], "1/0")])

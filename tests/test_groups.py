@@ -391,11 +391,24 @@ def test_shifter_apply_array_matches_apply(moduli):
     else:
         rng = SplitMix64(7)
         masks = np.array([rng.mask_bits(spec.order) for _ in range(64)], dtype=np.uint32)
+    assert_array_kernels_match_int_kernels(spec, masks)
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 6, (4, 4, 4), (2, 4, 8)])
+def test_shifter_apply_uint64_array_matches_apply(moduli):
+    # |G| = 64 fills the word: the top roll constants reach bit 63 and the array stays uint64
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(11)
+    ints = [0, (1 << 64) - 1, 1 << 63] + [rng.mask_bits(64) for _ in range(64)]
+    assert_array_kernels_match_int_kernels(spec, np.array(ints, dtype=np.uint64))
+
+
+def assert_array_kernels_match_int_kernels(spec, masks):
     ints = masks.tolist()
     for g in spec.elements():
         shifter = spec.shift_table(g)
         images = shifter.apply(masks)
-        assert images.dtype == np.uint32
+        assert images.dtype == masks.dtype
         assert images.tolist() == [shifter.apply(m) for m in ints], g
         assert shifter.boundary(masks).tolist() == [(shifter.apply(m) & ~m).bit_count() for m in ints], g
 

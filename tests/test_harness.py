@@ -354,7 +354,17 @@ def reference_repa_report(plan):
 
 
 @pytest.mark.parametrize(
-    "moduli, mode", [((2,) * 5, "sample"), ((3,) * 3, "sample"), ((2, 4, 4), "sample"), ((2, 2, 2), "exhaustive")]
+    "moduli, mode",
+    [
+        ((2,) * 5, "sample"),
+        ((3,) * 3, "sample"),
+        ((2, 4, 4), "sample"),
+        ((2, 2, 2), "exhaustive"),
+        ((3, 3), "exhaustive"),
+        ((2, 4), "exhaustive"),
+        ((2,) * 6, "sample"),
+        ((2,) * 8, "sample"),
+    ],
 )
 def test_repa_searches_each_popular_set_once(monkeypatch, moduli, mode):
     plan = VerifyPlan(
@@ -369,6 +379,7 @@ def test_repa_searches_each_popular_set_once(monkeypatch, moduli, mode):
         return dim_independent(P, cap)
 
     monkeypatch.setattr(harness, "dim_independent", counted)
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 7)  # an exhaustive plan spans many chunks
     report = run_verify(plan)
     assert report.violations == violations and report.equality_witnesses == equalities
     assert report.cases_checked == len(popular)

@@ -115,6 +115,48 @@ def test_spectrum_invariants():
         assert diff_spectrum(A.translate(g)).counts == sp.counts
 
 
+# -- batched counts and thresholds against the single-set spectrum -----------------
+
+COUNT_GROUPS_EVERY_SUBSET = [(2, 2, 2, 2), (4, 4), (2, 8), (3, 5)]
+# C2^6 fills a uint64 word; C3^5 and C2^10 take the int-mask route
+COUNT_GROUPS_SEEDED = [(3, 3, 3), (2, 4, 4), (2,) * 6, (3,) * 5, (2,) * 10]
+
+
+@pytest.mark.parametrize(
+    "moduli", COUNT_GROUPS_EVERY_SUBSET + COUNT_GROUPS_SEEDED, ids=lambda m: "x".join(map(str, m))
+)
+def test_batched_counts_match_the_spectrum(moduli):
+    spec = GroupSpec(moduli)
+    if moduli in COUNT_GROUPS_EVERY_SUBSET:
+        ints = list(range(1, 1 << spec.order))
+    else:
+        rng = SplitMix64(prod(moduli))
+        ints = [(1 << spec.order) - 1] + [rng.nonempty_mask(spec.order) for _ in range(16)]
+    counts = popular.diff_counts(spec, ints)
+    assert counts.shape == (spec.order, len(ints))
+    for mask, row in zip(ints, counts.T.tolist()):
+        assert tuple(row) == diff_spectrum(GroupSet(spec, mask)).counts, mask
+
+
+def reference_popular_mask(counts, gamma):
+    """Reference: the threshold as a loop over exact Python-int products, |A| = r(0)."""
+    return sum(1 << g for g, c in enumerate(counts) if c * gamma.denominator >= gamma.numerator * counts[0])
+
+
+@pytest.mark.parametrize("moduli", [(2, 4, 4), (2,) * 6, (3,) * 5], ids=lambda m: "x".join(map(str, m)))
+def test_popular_masks_match_the_threshold_loop(moduli):
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(prod(moduli) + 1)
+    ints = [1, (1 << spec.order) - 1] + [rng.nonempty_mask(spec.order) for _ in range(30)]
+    counts = popular.diff_counts(spec, ints)
+    # den * |A| passes 2**63 for the last two, so they are compared as Python ints, not in int64
+    for gamma in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(1, 2**62),
+                  Fraction(2**62 - 1, 2**62)):
+        expected = [reference_popular_mask(col, gamma) for col in counts.T.tolist()]
+        assert popular.popular_masks(counts, gamma) == expected, gamma
+        assert [popular_diffs(GroupSet(spec, m), gamma).mask for m in ints] == expected, gamma
+
+
 def test_popular_diffs_examples():
     spec = GroupSpec([2, 2])
     A = GroupSet.from_elements(spec, [spec.element([0, 0]), spec.element([1, 0])])
@@ -268,6 +310,38 @@ def test_dimensions_coincide_for_small_exponent():
     for mask in range(1, 1 << spec.order):
         P = GroupSet(spec, mask)
         assert dim_independent(P).value == dim_dissociated(P).value
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (3, 3), (3, 3, 3), (2,) * 6], ids=lambda m: "x".join(map(str, m)))
+def test_greedy_dissociated_search_matches_backtracking(moduli):
+    # at exponent 2 and 3 a dissociated set is a linearly independent one, so the
+    # greedy pass gives the backtracking search's value and witness
+    spec = GroupSpec(moduli)
+    if spec.order <= 16:
+        masks = range(1, 1 << spec.order)
+    else:
+        rng = SplitMix64(prod(moduli) + 2)
+        masks = [rng.nonempty_mask(spec.order) for _ in range(300)]
+    upper = spec.order.bit_length() - 1
+    for mask in masks:
+        P = GroupSet(spec, mask)
+        res = dim_dissociated(P, cap=spec.order)
+        ref = popular._largest_subset(
+            P, spec.order, "dissociated", upper, GroupSpec.shifter_at, popular._admit_dissociated
+        )
+        assert (res.value, res.witness.mask) == (ref.value, ref.witness.mask), P
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2), (3, 3)], ids=lambda m: "x".join(map(str, m)))
+def test_greedy_dissociated_search_matches_enumeration(moduli):
+    spec = GroupSpec(moduli)
+
+    def dissoc(combo):
+        return is_dissociated(GroupSet.from_elements(spec, combo))
+
+    for mask in range(1, 1 << spec.order):
+        P = GroupSet(spec, mask)
+        assert dim_dissociated(P).value == brute_force_dim(P, dissoc), P
 
 
 # -- mask searches against the per-element searches they replaced ------------------
