@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .boundary import edge_boundary
 from .compression import CompressionContext, compress_along, full_compress
-from .groups import GeneratorSeq, GroupSet, GroupSpec
+from .groups import GeneratorSeq, GroupSet, GroupSpec, converted
 from .harness import _EXAMPLES, VerifyPlan, build_example, emit_report, enumerate_downsets, run_verify
 from .lattice import LatticeSet, avg_weight_bound_holds, loomis_whitney_holds, lw_plus_holds, weight_stats, projection_sizes
 from .popular import DEFAULT_DIM_CAP, diff_spectrum, dim_dissociated, dim_independent
@@ -92,7 +92,7 @@ def _cmd_downset_check(args: argparse.Namespace) -> int:
 
 def _cmd_popdiff(args: argparse.Namespace) -> int:
     A, _ = _load_inputs(args)
-    gamma = Fraction(args.gamma)
+    gamma = converted("--gamma", Fraction, args.gamma)
     spectrum = diff_spectrum(A)
     P = spectrum.popular(gamma)
     payload: dict = {
@@ -220,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    # malformed inputs: bad JSON is a ValueError, a null or a number for a list a TypeError, gamma 1/0 a ZeroDivisionError
+    # malformed inputs: a field check or bad JSON raises ValueError; the rest covers input no check reads
     except (ValueError, OSError, KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,21 @@ def max_order_cap() -> int:
     """Configured bound on |G|; the ISOPERIM_MAX_GROUP env var overrides 2**24."""
     raw = os.environ.get(MAX_ORDER_ENV, "")
     return int(raw) if raw else DEFAULT_MAX_ORDER
+
+
+def listed(name: str, value: object) -> list | tuple:
+    """An input field that must be a list, refused with its name otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"field {name!r} must be a list, got {value!r}")
+    return value
+
+
+def converted(name: str, convert: Callable, value: object):
+    """An input field read by ``convert`` (such as int or Fraction), refused with its name if it does not read."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"field {name!r} cannot be read as {convert.__name__}: {value!r}") from None
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -470,7 +485,7 @@ class GroupSet:
     @classmethod
     def from_obj(cls, obj: dict) -> GroupSet:
         spec = GroupSpec.from_obj(obj["group"])
-        return cls.from_elements(spec, (spec.element(c) for c in obj["elements"]))
+        return cls.from_elements(spec, _elements_of(spec, obj))
 
 
 class GeneratorSeq:
@@ -523,7 +538,12 @@ class GeneratorSeq:
     @classmethod
     def from_obj(cls, obj: dict) -> GeneratorSeq:
         spec = GroupSpec.from_obj(obj["group"])
-        return cls(spec, tuple(spec.element(c) for c in obj["elements"]))
+        return cls(spec, tuple(_elements_of(spec, obj)))
+
+
+def _elements_of(spec: GroupSpec, obj: dict) -> Iterator[Element]:
+    """The elements of a set or generator file, whose field and rows must be lists."""
+    return (spec.element(listed("elements", c)) for c in listed("elements", obj["elements"]))
 
 
 # -- operations ----------------------------------------------------------------

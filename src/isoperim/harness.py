@@ -39,9 +39,11 @@ from .groups import (
     GeneratorSeq,
     GroupSet,
     GroupSpec,
+    converted,
     coords_order,
     coords_span_order,
     iter_bits,
+    listed,
     min_generators,
     min_nonzero_order,
     p_ranks,
@@ -51,6 +53,7 @@ from .lattice import (
     LatticeSet,
     WeightStats,
     _box_dims,
+    avg_weight_sides,
     box_projector,
     loomis_whitney_sides,
     lw_plus_sides,
@@ -81,14 +84,9 @@ _SWEEP_ORDER_LIMIT = 24  # a whole-family sweep walks at most 2**24 masks
 _PLAN_KEYS = ("theorem", "group", "mode", "sample_size", "seed", "generators", "gammas", "box", "allow_large", "dim_cap")
 
 
-def _listed(name: str, value: object) -> list | tuple:
-    """A plan field that must be a list, refused with its name otherwise."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"plan field {name!r} must be a list, got {value!r}")
-    return value
-
-
 def _reject_unknown_keys(what: str, obj: dict, known: Sequence[str]) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown}; expected some of {list(known)}")
@@ -130,11 +128,11 @@ class GeneratorPolicy:
         kind = obj["policy"]
         elements = None
         if "elements" in obj:
-            elements = tuple(tuple(_listed("elements", c)) for c in _listed("elements", obj["elements"]))
+            elements = tuple(tuple(listed("elements", c)) for c in listed("elements", obj["elements"]))
         return cls(
             kind=kind,
-            count=int(obj.get("count", 0)),
-            sets=int(obj.get("sets", 1)),
+            count=converted("count", int, obj.get("count", 0)),
+            sets=converted("sets", int, obj.get("sets", 1)),
             independent=bool(obj.get("independent", False)),
             elements=elements,
         )
@@ -183,15 +181,15 @@ class VerifyPlan:
             _reject_unknown_keys("group", obj["group"], ("moduli",))
         return cls(
             theorem=obj["theorem"],
-            moduli=tuple(_listed("moduli", obj["group"]["moduli"])) if "group" in obj else None,
+            moduli=tuple(listed("moduli", obj["group"]["moduli"])) if "group" in obj else None,
             mode=obj.get("mode", "exhaustive"),
-            sample_size=int(obj.get("sample_size", 0)),
-            seed=int(obj.get("seed", 0)),
+            sample_size=converted("sample_size", int, obj.get("sample_size", 0)),
+            seed=converted("seed", int, obj.get("seed", 0)),
             generators=GeneratorPolicy.from_obj(obj.get("generators", {"policy": "standard-basis"})),
-            gammas=tuple(Fraction(g) for g in _listed("gammas", obj.get("gammas", ()))),
-            box=tuple(int(b) for b in _listed("box", obj.get("box", ()))),
+            gammas=tuple(converted("gammas", Fraction, g) for g in listed("gammas", obj.get("gammas", ()))),
+            box=tuple(converted("box", int, b) for b in listed("box", obj.get("box", ()))),
             allow_large=bool(obj.get("allow_large", False)),
-            dim_cap=int(obj.get("dim_cap", DEFAULT_DIM_CAP)),
+            dim_cap=converted("dim_cap", int, obj.get("dim_cap", DEFAULT_DIM_CAP)),
         )
 
 
@@ -286,36 +284,69 @@ def gray_sweep_chunks(
 def enumerate_downsets(box: Sequence[int]) -> Iterator[LatticeSet]:
     """Every downset inside the box [0, box[0]] x ... x [0, box[-1]], once each.
 
-    Recursive generation by slicing along the last axis: a downset is a
-    weakly decreasing chain of lower-dimensional downsets, so nothing is
-    filtered and the empty set appears exactly once.
+    The sets of ``downset_walk``, in its order, each built as a ``LatticeSet``.
+    """
+    dims = _box_dims(box)
+    for _, _, chain in downset_walk(dims):
+        yield LatticeSet(len(dims), _chain_points(chain))
+
+
+def downset_walk(box: Sequence[int]) -> Iterator[tuple[int, int, list[frozenset]]]:
+    """Yield (size, total weight, chain) for every downset inside the box, once each.
+
+    A downset is a weakly decreasing chain D_0 >= D_1 >= ... of downsets of
+    the box without its last axis, D_l its slice at last coordinate l, so
+    nothing is filtered and the empty set appears exactly once.  The walk
+    picks each D_l among the subsets of D_(l-1) in (size, sorted points)
+    order, and carries the cell by addition: D_l adds |D_l| to the size and
+    w(D_l) + [l > 0] * |D_l| to the weight.  ``chain`` lists the slices; it is
+    reused between steps: consume, do not mutate or store it.
     """
     dims = _box_dims(box)
     cells = prod(b + 1 for b in dims)
     if cells > DOWNSET_CELL_BUDGET:
         raise ValueError(f"box holds {cells} lattice points, over the {DOWNSET_CELL_BUDGET} budget")
-    for pts in _downset_chains(dims):
-        yield LatticeSet(len(dims), pts)
+    return _chain_walk(dims)
 
 
-def _downset_chains(dims: tuple[int, ...]) -> Iterator[frozenset]:
+def _chain_points(chain: Sequence[frozenset]) -> list[tuple[int, ...]]:
+    """The points of the downset whose slice at last coordinate l is chain[l]."""
+    return [p + (level,) for level, D in enumerate(chain) for p in D]
+
+
+def _slices(dims: tuple[int, ...]) -> list[tuple[frozenset, int, int]]:
+    """(points, size, weight) of every downset of the box over ``dims``, in (size, sorted points) order."""
     if not dims:
-        yield frozenset()
-        yield frozenset({()})
-        return
-    lower = sorted(_downset_chains(dims[:-1]), key=lambda s: (len(s), sorted(s)))
+        return [(frozenset(), 0, 0), (frozenset({()}), 1, 0)]
+    walk = ((frozenset(_chain_points(chain)), size, weight) for size, weight, chain in _chain_walk(dims))
+    return sorted(walk, key=lambda t: (t[1], sorted(t[0])))
+
+
+def _chain_walk(dims: tuple[int, ...]) -> Iterator[tuple[int, int, list[frozenset]]]:
+    slices = _slices(dims[:-1])
     top = dims[-1]
-    base_full = lower[-1]
+    chain: list[frozenset] = [frozenset()] * (top + 1)
+    below: dict[int, list[int]] = {}  # slice index -> the indices of its subsets, in slice order
 
-    def extend(level: int, prev: frozenset, acc: list) -> Iterator[frozenset]:
-        if level > top:
-            yield frozenset(acc)
-            return
-        for D in lower:
-            if D <= prev:
-                yield from extend(level + 1, D, acc + [p + (level,) for p in D])
+    def subsets(j: int) -> list[int]:
+        out = below.get(j)
+        if out is None:
+            # a subset is no larger, and sorts first among sets of its size
+            out = below[j] = [i for i in range(j + 1) if slices[i][0] <= slices[j][0]]
+        return out
 
-    yield from extend(0, base_full, [])
+    def extend(level: int, prev: int, size: int, weight: int) -> Iterator[tuple[int, int, list[frozenset]]]:
+        lift = level > 0
+        for i in subsets(prev):
+            D, d_size, d_weight = slices[i]
+            chain[level] = D
+            s, w = size + d_size, weight + d_weight + lift * d_size
+            if level == top:
+                yield s, w, chain
+            else:
+                yield from extend(level + 1, i, s, w)
+
+    return extend(0, len(slices) - 1, 0, 0)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -541,9 +572,16 @@ def _group_of(plan: VerifyPlan) -> tuple[GroupSpec, SplitMix64]:
 
 
 def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
+    """Exhaustive plans read verdicts from one table per (|S|, params), filled once per plan.
+
+    A verdict depends only on the theorem's params, |A| and the boundary, so
+    generator sets with equal params and length share a table, and each cell
+    is decided once per plan.
+    """
     spec, rng = _group_of(plan)
     check = plan.theorem
     theorem = BOUNDARY_THEOREMS[check]
+    tables: dict[tuple, np.ndarray] = {}  # (|S|, params) -> verdict codes by (size, boundary)
     for label, gens in _generator_seqs(plan, spec, rng):
         params = theorem.params(spec, gens)
         tally = [0] * 4  # cases per verdict code
@@ -553,9 +591,13 @@ def _run_boundary_theorem(plan: VerifyPlan, report: VerifyReport) -> None:
 
         if plan.mode == "exhaustive":
             n = len(gens)
-            table = np.zeros((spec.order + 1, n * spec.order + 1), dtype=np.uint8)
-            for size in range(1, spec.order + 1):
-                table[size, : n * size + 1] = [_verdict_code(theorem.verdict(params, size, b)) for b in range(n * size + 1)]
+            table = tables.get((n, params))
+            if table is None:
+                table = tables[n, params] = np.zeros((spec.order + 1, n * spec.order + 1), dtype=np.uint8)
+                for size in range(1, spec.order + 1):
+                    table[size, : n * size + 1] = [
+                        _verdict_code(theorem.verdict(params, size, b)) for b in range(n * size + 1)
+                    ]
             for masks, sizes, bounds in gray_sweep_chunks(spec, gens):
                 dtots = bounds.sum(axis=0, dtype=np.uint16)
                 codes = table[sizes, dtots]
@@ -685,15 +727,22 @@ def _box_of(plan: VerifyPlan, mode: str) -> tuple[tuple[int, ...], str]:
 
 
 def _run_avweight(plan: VerifyPlan, report: VerifyReport) -> None:
+    """Decide each (size, total weight) cell of the walk once per plan, and build a downset only to record it."""
     dims, label = _box_of(plan, "exhaustive")
+    codes: dict[tuple[int, int], int] = {}  # cell -> verdict code
     total = 0
     cases = 0
-    for A in enumerate_downsets(dims):
+    for size, weight, chain in downset_walk(dims):
         total += 1
-        if len(A) == 0:
+        if not size:
             continue
         cases += 1
-        _file_witness(report, _avweight_witness(A, weight_stats(A)))
+        code = codes.get((size, weight))
+        if code is None:
+            code = codes[size, weight] = _verdict_code(cleared_verdict(*avg_weight_sides(size, weight)))
+        if code in _RECORDED_KINDS:
+            A = LatticeSet(len(dims), _chain_points(chain))
+            _file_witness(report, _avweight_witness(A, weight_stats(A)))
     report.details["downsets_enumerated"] = total
     report.details["downsets_checked"] = cases
     _add_class(report, label, cases, 0, len(report.violations), len(report.equality_witnesses))

@@ -94,12 +94,17 @@ class WeightStats:
     is_equality: bool
 
 
+def avg_weight_sides(size: int, total: int) -> tuple[Powers, Powers]:
+    """total / size <= (1/2) log2 size cleared to size**size >= 4**total."""
+    return ((size, size),), ((4, total),)
+
+
 def weight_stats(A: LatticeSet) -> WeightStats:
     if len(A) == 0:
         raise ValueError("weight statistics are undefined for the empty set")
     total = sum(weight(a) for a in A.points)
     size = len(A)
-    v = cleared_verdict(((size, size),), ((4, total),))
+    v = cleared_verdict(*avg_weight_sides(size, total))
     return WeightStats(size, total, Fraction(total, size), v.ok, v.equality)
 
 

@@ -254,15 +254,15 @@ _EXP234 = {"theorem": "exp234", "group": {"moduli": [2, 2]}}
 _REPA = {"theorem": "repa", "group": {"moduli": [2, 2]}}
 
 
-# (plan, the field its error names; "" where the error names none)
+# (plan, the field its error names)
 _MALFORMED_PLANS = [
     ({**_EXP234, "group": {"moduli": 5}}, "'moduli'"),
-    ({**_EXP234, "group": None}, ""),
-    ({**_EXP234, "seed": None}, ""),
+    ({**_EXP234, "group": None}, "group"),
+    ({**_EXP234, "seed": None}, "'seed'"),
     ({"theorem": "avweight", "box": 3}, "'box'"),
     ({**_REPA, "gammas": 5}, "'gammas'"),
     ({**_EXP234, "generators": {"policy": "fixed-list", "elements": [5]}}, "'elements'"),
-    ({**_REPA, "gammas": ["1/0"]}, ""),
+    ({**_REPA, "gammas": ["1/0"]}, "'gammas'"),
     ({**_EXP234, "generators": {"policy": "fixed-list", "elements": 5}}, "'elements'"),
 ]
 
@@ -292,8 +292,12 @@ def test_repa_plans_with_a_threshold_outside_the_unit_interval_are_usage_errors(
     assert captured.err == f"error: threshold must lie in (0, 1], got {gamma}\n"
 
 
-@pytest.mark.parametrize("elements, gamma", [(5, "1/2"), ([[0, 0], [1, 0]], "1/0")])
-def test_malformed_popdiff_inputs_are_usage_errors(capsys, tmp_path, c24_files, elements, gamma):
+@pytest.mark.parametrize(
+    "elements, gamma, named",
+    [(5, "1/2", "'elements'"), ([[0, 0], [1, 0]], "1/0", "'--gamma'")],
+    ids=["5-1/2", "elements1-1/0"],
+)
+def test_malformed_popdiff_inputs_are_usage_errors(capsys, tmp_path, c24_files, elements, gamma, named):
     group, _, _ = c24_files
     subset = tmp_path / "bad.json"
     subset.write_text(json.dumps({"group": {"moduli": [2, 4]}, "elements": elements}))
@@ -301,3 +305,4 @@ def test_malformed_popdiff_inputs_are_usage_errors(capsys, tmp_path, c24_files, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
