@@ -15,13 +15,11 @@ from .boundary import (
     independence_bound_holds,
     log_lower_bound_holds,
     small_exponent_bound_holds,
-    subgroup_bound_holds,
     subgroup_rank,
 )
 from .compression import (
     CompressionContext,
     compress_along,
-    coset_counts,
     full_compress,
     group_weight,
     is_compressed,
@@ -33,10 +31,8 @@ from .groups import (
     GeneratorSeq,
     GroupSet,
     GroupSpec,
-    NotASubgroupError,
     SpecMismatchError,
     add,
-    coset_decompose,
     is_independent,
     max_order_cap,
     min_nonzero_order,
@@ -58,7 +54,6 @@ from .harness import (
 )
 from .lattice import (
     LatticeSet,
-    MultisetFamilyView,
     WeightStats,
     avg_weight_bound_holds,
     is_downset,
@@ -67,9 +62,7 @@ from .lattice import (
     loomis_whitney_holds,
     lw_plus_feasible,
     lw_plus_holds,
-    multiset_view,
     projection_sizes,
-    split_inequality_holds,
     weight,
     weight_stats,
 )

@@ -354,8 +354,3 @@ def small_exponent_bound_holds(A: GroupSet, S: GeneratorSeq) -> bool:
 def independence_bound_holds(A: GroupSet, S: GeneratorSeq) -> bool:
     """|A| >= 4**((1-1/d) g n) for independent S, n = |S|, d = min order in S."""
     return BOUNDARY_THEOREMS["generalcase"].holds(A, S)
-
-
-def subgroup_bound_holds(A: GroupSet, S: GeneratorSeq) -> bool:
-    """|A| >= |span(S)|**g for groups of exponent 2 or 3 and arbitrary non-empty S."""
-    return BOUNDARY_THEOREMS["cosetdecomp"].holds(A, S)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .boundary import edge_boundary
 from .compression import CompressionContext, compress_along, full_compress
 from .groups import GeneratorSeq, GroupSet, GroupSpec, converted
-from .harness import _EXAMPLES, VerifyPlan, build_example, emit_report, enumerate_downsets, run_verify
+from .harness import _EXAMPLES, VerifyPlan, build_example, downset_walk, emit_report, enumerate_downsets, json_text, run_verify
 from .lattice import LatticeSet, avg_weight_bound_holds, loomis_whitney_holds, lw_plus_holds, weight_stats, projection_sizes
 from .popular import DEFAULT_DIM_CAP, diff_spectrum, dim_dissociated, dim_independent
 
@@ -51,7 +51,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[GroupSet, GeneratorSeq | Non
 def _cmd_boundary(args: argparse.Namespace) -> int:
     A, S = _load_inputs(args)
     stats = edge_boundary(A, S, rank=args.rank)
-    print(json.dumps(stats.to_obj(), indent=2))
+    print(json_text(stats.to_obj()))
     return 0
 
 
@@ -61,7 +61,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     before = edge_boundary(A, S)
     out = compress_along(A, ctx, args.step) if args.step is not None else full_compress(A, ctx)
     after = edge_boundary(out, S)
-    print(json.dumps({"set": out.coords(), "before": before.to_obj(), "after": after.to_obj()}, indent=2))
+    print(json_text({"set": out.coords(), "before": before.to_obj(), "after": after.to_obj()}))
     return 0
 
 
@@ -86,7 +86,7 @@ def _cmd_downset_check(args: argparse.Namespace) -> int:
             "size": len(A),
             "projections": list(projection_sizes(A)),
         }
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
     return 0 if holds else 1
 
 
@@ -112,7 +112,7 @@ def _cmd_popdiff(args: argparse.Namespace) -> int:
             "value": result.value,
             "witness": result.witness.coords(),
         }
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
     return 0
 
 
@@ -143,22 +143,19 @@ def _cmd_example(args: argparse.Namespace) -> int:
         "expected": {k: jsonable(v) for k, v in instance.expected.items()},
         "computed": {k: jsonable(v) for k, v in instance.computed.items()},
     }
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
     return 0
 
 
 def _cmd_enumerate_downsets(args: argparse.Namespace) -> int:
     box = tuple(int(b) for b in args.box.split(","))
-    count = 0
-    listed = []
-    for A in enumerate_downsets(box):
-        count += 1
-        if args.list:
-            listed.append(A.to_obj()["points"])
-    payload: dict = {"box": list(box), "count": count}
     if args.list:
-        payload["downsets"] = listed
-    print(json.dumps(payload, indent=2))
+        listed = [A.to_obj()["points"] for A in enumerate_downsets(box)]
+        payload: dict = {"box": list(box), "count": len(listed), "downsets": listed}
+    else:
+        # a count needs no LatticeSet: the walk carries each downset as a chain of slices
+        payload = {"box": list(box), "count": sum(1 for _ in downset_walk(box))}
+    print(json_text(payload))
     return 0
 
 

@@ -214,13 +214,6 @@ def phi_embed(A: GroupSet, ctx: CompressionContext) -> LatticeSet:
     return LatticeSet(len(ctx), zip(*(c.tolist() for c in coords)))
 
 
-def coset_counts(A: GroupSet, ctx: CompressionContext, i: int) -> tuple[int, int]:
-    """(cosets of <s_i> meeting A, cosets of <s_i> fully inside A)."""
-    ctx._check(A, i)
-    sizes = ctx._coset_sizes(ctx._unpack(A.mask), i)
-    return int(np.count_nonzero(sizes)), int(np.count_nonzero(sizes == ctx.orders[i]))
-
-
 def group_weight(g: Element, ctx: CompressionContext) -> int:
     """Number of non-zero coordinates of g in the generator decomposition."""
     if g.spec != ctx.spec:

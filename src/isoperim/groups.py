@@ -36,10 +36,6 @@ class SpecMismatchError(ValueError):
     """Operands belong to different groups."""
 
 
-class NotASubgroupError(ValueError):
-    """A set that must be a subgroup is not closed."""
-
-
 def max_order_cap() -> int:
     """Configured bound on |G|; the ISOPERIM_MAX_GROUP env var overrides 2**24."""
     raw = os.environ.get(MAX_ORDER_ENV, "")
@@ -528,10 +524,6 @@ class GeneratorSeq:
     def __repr__(self) -> str:
         return f"GeneratorSeq({self.spec!r}, [{', '.join(map(repr, self.elements))}])"
 
-    def drop(self, i: int) -> GeneratorSeq:
-        """The sequence with the i-th generator removed (may be empty)."""
-        return GeneratorSeq(self.spec, self.elements[:i] + self.elements[i + 1:])
-
     def to_obj(self) -> dict:
         return {"group": self.spec.to_obj(), "elements": [list(g.coords) for g in self.elements]}
 
@@ -685,27 +677,3 @@ def p_ranks(spec: GroupSpec) -> dict[int, int]:
 def min_generators(spec: GroupSpec) -> int:
     """d(G), the fewest elements that generate the group: its largest p-rank."""
     return max(p_ranks(spec).values())
-
-
-def coset_decompose(A: GroupSet, H: GroupSet) -> list[tuple[Element, GroupSet]]:
-    """Partition of A by the cosets of the subgroup H.
-
-    Each part's representative is its least-index member, so translating the
-    part by the negated representative lands inside H.  Raises
-    NotASubgroupError unless H is its own span, decided by ``coords_span_order``.
-    """
-    if A.spec != H.spec:
-        raise SpecMismatchError("set and subgroup live in different groups")
-    # H lies in <H>, so |<H>| = |H| forces H = <H>
-    if not (H.has_index(0) and coords_span_order(H.spec.moduli, H.coords()) == len(H)):
-        raise NotASubgroupError(f"a set of {len(H)} elements of {H.spec!r} is not a subgroup: it is not its own span")
-    spec = A.spec
-    parts: list[tuple[Element, GroupSet]] = []
-    remaining = A.mask
-    while remaining:
-        r = (remaining & -remaining).bit_length() - 1
-        shifter = spec.shifter_at(r)
-        part = remaining & shifter.apply(H.mask)
-        parts.append((shifter.g, GroupSet(spec, part)))
-        remaining &= ~part
-    return parts

@@ -27,7 +27,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import prod
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf, prod
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -825,10 +826,99 @@ def replay_witness(witness: dict) -> bool:
 # -- report emission --------------------------------------------------------------
 
 
+def _scalar_text(o: object) -> str | None:
+    """A str, None, bool, int or float as json writes it, tested in json's order; None for anything else."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return "NaN" if o != o else "Infinity" if o == inf else "-Infinity" if o == -inf else float.__repr__(o)
+    return None
+
+
+def _key_text(key: object) -> str:
+    """A dict key as json writes it: a quoted str, or a quoted scalar text (such as "1" or "true")."""
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return text if isinstance(key, str) else '"' + text + '"'
+
+
+def json_text(obj: object) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte; every report and CLI print is written here.
+
+    With ``indent`` set json takes its pure-Python encoder. This one appends to
+    one list, and renders a list of exact ints (``bool`` excluded, since
+    True == 1 would share its key) in one join, cached for this call by
+    (items, depth): the coordinate rows that thousands of witnesses repeat
+    become dict lookups, and a list of such rows joins their texts. Other
+    types raise ``TypeError``, as in json; circular input is not detected.
+    """
+    out: list[str] = []
+    put = out.append
+    rows: dict[tuple[tuple[int, ...], int], str] = {}
+
+    # pad is "\n" + "  " * depth, built once per container
+    def int_row(items: list | tuple, pad: str) -> str | None:
+        if not items:
+            return "[]"
+        for x in items:
+            if type(x) is not int:
+                return None
+        key = (tuple(items), len(pad))
+        text = rows.get(key)
+        if text is None:
+            inner = pad + "  "
+            text = rows[key] = "[" + inner + ("," + inner).join(map(int.__repr__, items)) + pad + "]"
+        return text
+
+    def render(o: object, pad: str) -> None:
+        text = _scalar_text(o)
+        if text is None and isinstance(o, (list, tuple)):
+            inner = pad + "  "
+            text = int_row(o, pad)
+            if text is None:
+                texts = [int_row(v, inner) if type(v) is list else None for v in o]
+                if None not in texts:
+                    text = "[" + inner + ("," + inner).join(texts) + pad + "]"
+            if text is None:
+                lead, sep = "[" + inner, "," + inner
+                for v in o:
+                    put(lead)
+                    lead = sep
+                    render(v, inner)
+                text = pad + "]"
+        elif text is None and isinstance(o, dict):
+            inner = pad + "  "
+            lead, sep = "{" + inner, "," + inner
+            for k, v in o.items():
+                head = lead + (_quote(k) if type(k) is str else _key_text(k)) + ": "
+                lead = sep
+                # the common values of a report, without a call
+                if type(v) is str:
+                    put(head + _quote(v))
+                elif type(v) is int:
+                    put(head + int.__repr__(v))
+                else:
+                    put(head)
+                    render(v, inner)
+            text = pad + "}" if o else "{}"
+        elif text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        put(text)
+
+    render(obj, "\n")
+    del render  # its closure holds it: break the cycle so the pieces and rows go on return, not at a gc pass
+    return "".join(out)
+
+
 def emit_report(report: VerifyReport, fmt: str = "text") -> str:
-    """Render a report as json, tsv (one row per case class) or text."""
+    """Render a report as json (``json_text``), tsv (one row per case class) or text."""
     if fmt == "json":
-        return json.dumps(report.to_obj(), indent=2)
+        return json_text(report.to_obj())
     if fmt == "tsv":
         lines = ["theorem\tclass\tcases\tvacuous\tviolations\tequalities"]
         for c in report.classes:

@@ -215,43 +215,3 @@ def lattice_compress_along(A: LatticeSet, i: int) -> LatticeSet:
         for k in range(count):
             pts.append(key[:i] + (k,) + key[i:])
     return LatticeSet(A.dim, pts)
-
-
-@dataclass(frozen=True)
-class MultisetFamilyView:
-    """A downset read as a monotonic family of multisets over the ground set [n].
-
-    Each lattice point is the multiplicity function of one multiset; the
-    number of non-zero coordinates is the support size, so the average-weight
-    bound says the mean support size is at most (1/2) log2 of the family size.
-    """
-
-    ground_size: int
-    family_size: int
-    support_total: int
-    mean_support: Fraction
-    bound_holds: bool
-
-
-def multiset_view(A: LatticeSet) -> MultisetFamilyView:
-    if not is_downset(A):
-        raise ValueError("only downsets correspond to monotonic families")
-    stats = weight_stats(A)
-    return MultisetFamilyView(
-        ground_size=A.dim,
-        family_size=stats.size,
-        support_total=stats.total_weight,
-        mean_support=stats.mean_weight,
-        bound_holds=stats.bound_holds,
-    )
-
-
-def split_inequality_holds(tau: Fraction) -> bool:
-    """Exact check of 1 + (tau/2) log2 tau <= ((tau+1)/2) log2 (tau+1) for tau >= 1.
-
-    With tau = a/b this clears to 4**b * a**a * b**b <= (a+b)**(a+b).
-    """
-    if tau < 1:
-        raise ValueError("the inequality is stated for tau >= 1")
-    a, b = tau.numerator, tau.denominator
-    return compare_powers(((a + b, a + b),), ((4, b), (a, a), (b, b))) >= 0

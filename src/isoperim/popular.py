@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary import Powers, Verdict, _kernel
-from .groups import Element, GroupSet, GroupSpec, Shifter, min_nonzero_order, p_ranks
+from .groups import GroupSet, GroupSpec, Shifter, min_nonzero_order, p_ranks
 
 DEFAULT_DIM_CAP = 24
 # int64 entries per block of the difference table, about 8 MB
@@ -50,9 +50,6 @@ class DiffSpectrum:
     spec: GroupSpec
     size: int
     counts: tuple[int, ...]
-
-    def count_of(self, g: Element) -> int:
-        return self.counts[self.spec.index_of(g)]
 
     def popular(self, gamma: Fraction) -> GroupSet:
         """Elements with at least gamma*|A| representations (exact threshold)."""

@@ -19,7 +19,6 @@ from isoperim import (
     run_verify,
     small_exponent_bound_holds,
     span,
-    subgroup_bound_holds,
 )
 from isoperim.boundary import (
     BOUNDARY_THEOREMS,
@@ -30,6 +29,7 @@ from isoperim.boundary import (
 )
 from isoperim.harness import GeneratorPolicy
 from isoperim.prng import SplitMix64
+from oracles import subgroup_bound_holds
 
 
 def brute_force_boundary(A, S):

@@ -203,6 +203,39 @@ def test_enumerate_downsets_command(capsys):
     assert [[0, 0]] in out["downsets"]
 
 
+def test_enumerate_downsets_counts_without_building_sets(capsys, monkeypatch):
+    from isoperim import LatticeSet
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count-only run built a LatticeSet")
+
+    monkeypatch.setattr(LatticeSet, "__init__", refuse)
+    assert main(["enumerate-downsets", "--box", "3,3,3"]) == 0
+    assert capsys.readouterr().out == '{\n  "box": [\n    3,\n    3,\n    3\n  ],\n  "count": 232848\n}\n'
+
+
+def test_every_print_is_json_dumps_with_indent_2(capsys, tmp_path, c24_files):
+    group, subset, gens = c24_files
+    down = tmp_path / "down.json"
+    down.write_text(json.dumps({"dim": 2, "points": [[0, 0], [0, 1], [1, 0], [1, 1]]}))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"theorem": "exp234", "group": {"moduli": [2, 2, 2]}}))
+    inputs = ["--group", str(group), "--set", str(subset)]
+    for argv in (
+        ["boundary", *inputs, "--gens", str(gens), "--rank", "2"],
+        ["compress", *inputs, "--gens", str(gens)],
+        ["downset-check", "--set", str(down), "--check", "avg-weight"],
+        ["downset-check", "--set", str(down), "--check", "lw-plus"],
+        ["popdiff", *inputs, "--gamma", "1/3", "--dim", "dissociated"],
+        ["verify", "--plan", str(plan), "--format", "json"],
+        ["example", "--id", "ex4", "--params", "m=3,n=2,k=1"],
+        ["enumerate-downsets", "--box", "1,1", "--list"],
+    ):
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + ("\n" if argv[0] != "verify" else ""), argv
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["boundary"]) == 2  # missing required flags
     assert main(["downset-check", "--set", "nope.json", "--check", "avg-weight"]) == 2

@@ -13,10 +13,8 @@ from isoperim import (
     GeneratorSeq,
     GroupSet,
     GroupSpec,
-    NotASubgroupError,
     SpecMismatchError,
     add,
-    coset_decompose,
     is_independent,
     min_nonzero_order,
     order_of,
@@ -31,6 +29,7 @@ from isoperim.groups import (
     translate_mask,
 )
 from isoperim.prng import SplitMix64
+from oracles import NotASubgroupError, coset_decompose
 from test_compare import invariant_factor_groups
 
 

@@ -17,14 +17,13 @@ from isoperim import (
     loomis_whitney_holds,
     lw_plus_feasible,
     lw_plus_holds,
-    multiset_view,
     projection_sizes,
-    split_inequality_holds,
     weight,
     weight_stats,
 )
 from isoperim.lattice import box_projector
 from isoperim.prng import SplitMix64
+from oracles import multiset_view, split_inequality_holds
 
 
 def cube(n):
