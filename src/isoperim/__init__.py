@@ -72,7 +72,6 @@ from .popular import (
     diff_spectrum,
     dim_dissociated,
     dim_independent,
-    is_dissociated,
     popular_diffs,
     popular_dim_bound_holds,
 )

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .boundary import edge_boundary
 from .compression import CompressionContext, compress_along, full_compress
 from .groups import GeneratorSeq, GroupSet, GroupSpec, converted
-from .harness import _EXAMPLES, VerifyPlan, build_example, downset_walk, emit_report, enumerate_downsets, json_text, run_verify
+from .harness import _EXAMPLES, VerifyPlan, _chain_points, build_example, downset_walk, emit_report, json_text, run_verify
 from .lattice import LatticeSet, avg_weight_bound_holds, loomis_whitney_holds, lw_plus_holds, weight_stats, projection_sizes
 from .popular import DEFAULT_DIM_CAP, diff_spectrum, dim_dissociated, dim_independent
 
@@ -149,11 +149,11 @@ def _cmd_example(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate_downsets(args: argparse.Namespace) -> int:
     box = tuple(int(b) for b in args.box.split(","))
+    # the walk carries each downset as a chain of slices, so neither form builds a LatticeSet
     if args.list:
-        listed = [A.to_obj()["points"] for A in enumerate_downsets(box)]
+        listed = [[list(p) for p in sorted(_chain_points(chain))] for _, _, chain in downset_walk(box)]
         payload: dict = {"box": list(box), "count": len(listed), "downsets": listed}
     else:
-        # a count needs no LatticeSet: the walk carries each downset as a chain of slices
         payload = {"box": list(box), "count": sum(1 for _ in downset_walk(box))}
     print(json_text(payload))
     return 0

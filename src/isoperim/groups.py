@@ -454,25 +454,6 @@ class GroupSet:
         """The shifted set {a + g : a in A}."""
         return GroupSet(self.spec, self.spec.shift_table(g).apply(self.mask))
 
-    def negate(self) -> GroupSet:
-        """The reflected set {-a : a in A}.
-
-        Negation maps coordinate c of every factor to (m - c) mod m, so it
-        reflects the blocks of each factor in turn: the blocks of coordinate 0
-        stay, and the block of coordinate c moves to m - c in every period.
-        """
-        spec = self.spec
-        mask = self.mask
-        for stride, m in zip(spec.strides, spec.moduli):
-            zero = _periodic((1 << stride) - 1, stride * m, spec.order // (stride * m))
-            out = mask & zero
-            for c in range(1, m):
-                block = mask & (zero << c * stride)
-                shift = (m - 2 * c) * stride
-                out |= block << shift if shift >= 0 else block >> -shift
-            mask = out
-        return GroupSet(spec, mask)
-
     # -- serialization ---------------------------------------------------------
 
     def to_obj(self) -> dict:

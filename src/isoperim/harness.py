@@ -66,6 +66,7 @@ from .popular import (
     diff_counts,
     diff_spectrum,
     dim_independent,
+    independent_dims,
     popular_diffs,
     popular_dim_verdict,
     popular_masks,
@@ -429,6 +430,19 @@ def _verdict_code(v: Verdict) -> int:
 
 
 _RECORDED_KINDS = {_VIOLATION: "violation", _EQUALITY: "equality"}
+_UNDECIDED = 255  # a cell of a lazily filled code table that no case has reached yet
+
+
+def _gather_codes(
+    table: np.ndarray, rows: np.ndarray, cols: np.ndarray, verdict: Callable[[int, int], Verdict]
+) -> np.ndarray:
+    """``table[rows, cols]``, after deciding by ``verdict`` each reached cell still ``_UNDECIDED``."""
+    missing = table[rows, cols] == _UNDECIDED
+    reached = np.zeros(table.shape, dtype=bool)
+    reached[rows[missing], cols[missing]] = True
+    for r, c in zip(*(axis.tolist() for axis in np.nonzero(reached))):
+        table[r, c] = _verdict_code(verdict(r, c))
+    return table[rows, cols]
 
 
 def _recorded_kind(v: Verdict) -> str | None:
@@ -702,18 +716,25 @@ def _run_repa(plan: VerifyPlan, report: VerifyReport) -> None:
     else:
         end = 1 << spec.order
         label, batches = "all-sets", (range(lo, min(lo + _SWEEP_CHUNK, end)) for lo in range(1, end, _SWEEP_CHUNK))
-    dims: dict[int, int] = {}  # popular-set mask -> dimension; the gammas of one set often give the same P
+    # per gamma, the verdict code of each (size, dim) cell once a case reaches it
+    cells = (spec.order + 1, sum(p_ranks(spec).values()) + 1)
+    tables = [np.full(cells, _UNDECIDED, dtype=np.uint8) for _ in plan.gammas]
+    searched: dict[int, int] = {}  # popular-set mask -> dimension, where the dimension is searched
     cases = 0
     for masks in batches:
         counts = diff_counts(spec, masks)
+        sizes = counts[0]
         populars = [popular_masks(counts, gamma) for gamma in plan.gammas]
-        for mask, size, popular in zip(masks, counts[0].tolist(), zip(*populars)):
-            for gamma, P in zip(plan.gammas, popular):
-                dim = dims.get(P)
-                if dim is None:
-                    dim = dims[P] = dim_independent(GroupSet(spec, P), cap=plan.dim_cap).value
-                cases += 1
-                _file_witness(report, _repa_witness(spec, mask, gamma, size, P.bit_count(), dim))
+        dims = independent_dims(spec, populars, plan.dim_cap, searched)
+        codes = np.empty(dims.shape, dtype=np.uint8)
+        for j, (gamma, table) in enumerate(zip(plan.gammas, tables)):
+            codes[j] = _gather_codes(table, sizes, dims[j], lambda s, d: popular_dim_verdict(spec, gamma, s, d))
+        cases += codes.size
+        # the recorded cases in (set, gamma) order
+        for i in np.flatnonzero((codes.T == _VIOLATION) | (codes.T == _EQUALITY)).tolist():
+            r, j = divmod(i, len(plan.gammas))
+            size, popular_size, dim = int(sizes[r]), populars[j][r].bit_count(), int(dims[j, r])
+            _file_witness(report, _repa_witness(spec, masks[r], plan.gammas[j], size, popular_size, dim))
     _add_class(report, label, cases, 0, len(report.violations), len(report.equality_witnesses))
 
 

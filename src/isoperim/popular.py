@@ -22,6 +22,16 @@ independence in an elementary abelian group, dissociativity at exponent 2
 or 3) the search's first branch, the greedy pass, is its result, and only
 that branch runs.
 
+``independent_dims`` serves the ``repa`` runner a batch of popular sets at
+once.  On an elementary abelian group C_p^n with |G| <= 64 the dimension is
+the F_p-rank of P, n - log_p |P^perp| by annihilator duality: the kernel of
+each character x -> a.x mod p is one uint64 mask, every P counts the kernels
+that hold it, and an exact table of the powers of p gives the rank, with no
+search.  Mixed groups and larger groups search each distinct set once, and
+``dim_independent`` stays the oracle and the single-set route.  The runner
+keeps one verdict table per threshold over the (size, dim) cells its cases
+reach.
+
 Each form of the dimension bound writes its cleared inequality once, in
 ``popular_dim_sides`` or ``popular_dim_exp3_sides``, and ``boundary._kernel``
 derives its classify_* verdict from those sides.
@@ -108,12 +118,17 @@ def popular_masks(counts: np.ndarray, gamma: Fraction) -> list[int]:
     if den * int(counts[0].max()) >= 1 << 63:  # r(g) <= |A|, so below this both products fit in int64
         counts = counts.astype(object)
     hits = np.asarray(counts * den >= num * counts[0], dtype=bool)
-    packed = np.packbits(hits, axis=0, bitorder="little")
-    if len(hits) <= 64:  # one little-endian uint64 word per set
-        words = np.zeros((hits.shape[1], 8), dtype=np.uint8)
-        words[:, : len(packed)] = packed.T
-        return words.view("<u8").ravel().tolist()
-    return [int.from_bytes(col.tobytes(), "little") for col in packed.T]
+    if len(hits) <= 64:
+        return _words(hits.T).tolist()
+    return [int.from_bytes(col.tobytes(), "little") for col in np.packbits(hits, axis=0, bitorder="little").T]
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Each row of a bool array of at most 64 columns as the uint64 mask with bit i set iff column i is."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    words = np.zeros((len(rows), 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<u8").ravel()
 
 
 def popular_diffs(A: GroupSet, gamma: Fraction) -> GroupSet:
@@ -143,19 +158,6 @@ def _admit_dissociated(shifter: Shifter, sums: int) -> int | None:
     """Subset-sum masks: the sums translated by r must miss the sums, and both families join."""
     shifted = shifter.apply(sums)
     return None if shifted & sums else sums | shifted
-
-
-def is_dissociated(B: GroupSet, cap: int = DEFAULT_DIM_CAP) -> bool:
-    """True iff all 2**|B| subset sums are pairwise distinct; 0 in B fails, as {0} sums like the empty set."""
-    if len(B) > cap:
-        raise ValueError(f"set size {len(B)} exceeds the dissociativity cap {cap}")
-    spec = B.spec
-    sums: int | None = 1  # the empty sum
-    for r in B.indices():
-        sums = _admit_dissociated(spec.shifter_at(r), sums)
-        if sums is None:
-            return False
-    return True
 
 
 def _candidates(P: GroupSet, cap: int) -> list[int]:
@@ -246,6 +248,52 @@ def dim_dissociated(P: GroupSet, cap: int = DEFAULT_DIM_CAP) -> DimensionResult:
     # for p = 2, 3 the coefficients {-1, 0, 1} cover F_p, so dissociated means linearly independent
     search = _first_branch if P.spec.exponent in (2, 3) else _largest_subset
     return search(P, cap, "dissociated", upper, GroupSpec.shifter_at, _admit_dissociated)
+
+
+def independent_dims(
+    spec: GroupSpec, populars: Sequence[Sequence[int]], cap: int = DEFAULT_DIM_CAP, memo: dict[int, int] | None = None
+) -> np.ndarray:
+    """``dim_independent(P).value`` for every mask P of ``populars[j][s]``, as a (gammas, sets) int64 array.
+
+    The first mask in (s, j) order with more than ``cap`` elements raises the
+    search's ``ValueError``.  On an elementary abelian group C_p^n with
+    |G| <= 64 the dimension is the F_p-rank of P, read by annihilator
+    duality as n - log_p |P^perp|: the characters x -> a.x mod p that vanish
+    on all of P are counted with one mask test per a against the kernel of
+    each.  Elsewhere each distinct mask is searched once, its value kept in
+    ``memo`` (a dict the caller may carry between calls).
+    """
+    words = np.array(populars, dtype=np.uint64) if spec.order <= 64 else None
+    if words is not None:
+        sizes = np.bitwise_count(words)
+    else:
+        sizes = np.array([[m.bit_count() for m in row] for row in populars], dtype=np.int64)
+    over = (sizes > cap).T
+    if over.any():
+        s, j = divmod(int(over.argmax()), len(populars))
+        raise ValueError(f"set size {sizes[j, s]} exceeds the search cap {cap}")
+    if words is not None and spec.exponent in p_ranks(spec):
+        p, n = spec.exponent, spec.n_factors
+        coords = np.array(GroupSet.full(spec).coords(), dtype=np.int64)
+        kernels = _words(coords @ coords.T % p == 0)  # row a: the elements x with a.x = 0 mod p
+        dual = np.zeros(words.shape, dtype=np.uint8)  # |P^perp| <= |G| <= 64
+        for kernel in kernels:
+            dual += (words & ~kernel) == 0
+        log = np.full(spec.order + 1, -1, dtype=np.int64)
+        log[[p**k for k in range(n + 1)]] = range(n + 1)
+        k = log[dual]
+        if (k < 0).any():
+            raise RuntimeError(f"an annihilator of a set in {spec!r} has an order that is not a power of {p}")
+        return n - k
+    memo = {} if memo is None else memo
+    dims = np.empty(sizes.shape, dtype=np.int64)
+    for s, row in enumerate(zip(*populars)):
+        for j, P in enumerate(row):
+            dim = memo.get(P)
+            if dim is None:
+                dim = memo[P] = dim_independent(GroupSet(spec, P), cap=cap).value
+            dims[j, s] = dim
+    return dims
 
 
 # -- popular-difference dimension bound: sides and verdict kernels ------------

@@ -13,8 +13,8 @@ import numpy as np
 
 from isoperim import CompressionContext, Element, GeneratorSeq, GroupSet, LatticeSet, is_downset, weight_stats
 from isoperim.boundary import BOUNDARY_THEOREMS, compare_powers
-from isoperim.groups import SpecMismatchError, coords_span_order
-from isoperim.popular import DiffSpectrum
+from isoperim.groups import SpecMismatchError, _periodic, coords_span_order
+from isoperim.popular import DEFAULT_DIM_CAP, DiffSpectrum, _admit_dissociated
 
 
 class NotASubgroupError(ValueError):
@@ -29,6 +29,39 @@ def drop(gens: GeneratorSeq, i: int) -> GeneratorSeq:
 def count_of(spectrum: DiffSpectrum, g: Element) -> int:
     """r_A(g), the number of representations of g as a difference of A."""
     return spectrum.counts[spectrum.spec.index_of(g)]
+
+
+def negate(A: GroupSet) -> GroupSet:
+    """The reflected set {-a : a in A}.
+
+    Negation maps coordinate c of every factor to (m - c) mod m, so it
+    reflects the blocks of each factor in turn: the blocks of coordinate 0
+    stay, and the block of coordinate c moves to m - c in every period.
+    """
+    spec = A.spec
+    mask = A.mask
+    for stride, m in zip(spec.strides, spec.moduli):
+        zero = _periodic((1 << stride) - 1, stride * m, spec.order // (stride * m))
+        out = mask & zero
+        for c in range(1, m):
+            block = mask & (zero << c * stride)
+            shift = (m - 2 * c) * stride
+            out |= block << shift if shift >= 0 else block >> -shift
+        mask = out
+    return GroupSet(spec, mask)
+
+
+def is_dissociated(B: GroupSet, cap: int = DEFAULT_DIM_CAP) -> bool:
+    """True iff all 2**|B| subset sums are pairwise distinct; 0 in B fails, as {0} sums like the empty set."""
+    if len(B) > cap:
+        raise ValueError(f"set size {len(B)} exceeds the dissociativity cap {cap}")
+    spec = B.spec
+    sums: int | None = 1  # the empty sum
+    for r in B.indices():
+        sums = _admit_dissociated(spec.shifter_at(r), sums)
+        if sums is None:
+            return False
+    return True
 
 
 def coset_counts(A: GroupSet, ctx: CompressionContext, i: int) -> tuple[int, int]:

@@ -214,6 +214,21 @@ def test_enumerate_downsets_counts_without_building_sets(capsys, monkeypatch):
     assert capsys.readouterr().out == '{\n  "box": [\n    3,\n    3,\n    3\n  ],\n  "count": 232848\n}\n'
 
 
+@pytest.mark.parametrize("box", [(2, 2, 2), (3, 2, 2)])
+def test_enumerate_downsets_lists_without_building_sets(capsys, monkeypatch, box):
+    from isoperim import LatticeSet, enumerate_downsets
+
+    expected = [A.to_obj()["points"] for A in enumerate_downsets(box)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a listing built a LatticeSet")
+
+    monkeypatch.setattr(LatticeSet, "__init__", refuse)
+    assert main(["enumerate-downsets", "--box", ",".join(map(str, box)), "--list"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"box": list(box), "count": len(expected), "downsets": expected}
+
+
 def test_every_print_is_json_dumps_with_indent_2(capsys, tmp_path, c24_files):
     group, subset, gens = c24_files
     down = tmp_path / "down.json"

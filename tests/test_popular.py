@@ -19,16 +19,15 @@ from isoperim import (
     dim_dissociated,
     dim_independent,
     edge_boundary,
-    is_dissociated,
     is_independent,
     popular_diffs,
     popular_dim_bound_holds,
     span,
 )
 from isoperim import popular
-from isoperim.groups import min_nonzero_order, p_ranks
+from isoperim.groups import coords_span_order, min_nonzero_order, p_ranks
 from isoperim.prng import SplitMix64
-from oracles import count_of
+from oracles import count_of, is_dissociated, negate
 
 
 def brute_force_spectrum(A):
@@ -177,7 +176,7 @@ def test_popular_diffs_monotone_and_symmetric():
             assert big.issubset(small)
         for P in sets:
             assert spec.zero() in P
-            assert P.negate() == P
+            assert negate(P) == P
 
 
 def test_popular_diffs_range_check():
@@ -478,6 +477,100 @@ def test_dim_searches_work_on_masks(monkeypatch):
     calls.clear()
     assert not is_dissociated(GroupSet(spec, 0b1110))
     assert calls["add_perm"] == 0 and calls["element_at"] <= 3
+
+
+def _log(p, order):
+    """k with p**k == order, for a subgroup order of an elementary abelian p-group."""
+    k = 0
+    while order > 1:
+        order, rest = divmod(order, p)
+        assert rest == 0
+        k += 1
+    return k
+
+
+def _assert_ranks(spec, masks):
+    """``independent_dims`` equals the search and the F_p-rank log_p |<P>| on every mask, with no search run."""
+    p = spec.exponent
+    searched = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popular, "dim_independent", lambda P, cap: searched.append(P.mask))
+        dims = popular.independent_dims(spec, [masks], cap=spec.order)
+    assert searched == [] and dims.shape == (1, len(masks))
+    coords = [spec.coords_at(r) for r in range(spec.order)]
+    for mask, dim in zip(masks, dims[0].tolist()):
+        P = GroupSet(spec, mask)
+        rank = _log(p, coords_span_order(spec.moduli, [coords[r] for r in P.indices()]))
+        assert dim == dim_independent(P, cap=spec.order).value == rank, P
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (3, 3)], ids=lambda m: "x".join(map(str, m)))
+def test_independent_dims_is_the_rank_on_every_popular_mask(moduli):
+    # every set that contains 0, as every popular set does
+    spec = GroupSpec(moduli)
+    _assert_ranks(spec, list(range(1, 1 << spec.order, 2)))
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 5, (2,) * 6, (3, 3, 3), (5, 5), (7, 7)], ids=lambda m: "x".join(map(str, m)))
+def test_independent_dims_is_the_rank_on_seeded_masks(moduli):
+    # dense and sparse sets, with and without 0
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(spec.order)
+    masks = [1, (1 << spec.order) - 1]
+    for _ in range(150):
+        masks.append(rng.mask_bits(spec.order) | rng.mask_bits(spec.order))
+        masks.append(rng.mask_bits(spec.order) & rng.mask_bits(spec.order) & rng.mask_bits(spec.order))
+    _assert_ranks(spec, masks)
+
+
+@pytest.mark.parametrize("moduli", [(2, 4, 4), (2, 2, 4), (2,) * 8], ids=lambda m: "x".join(map(str, m)))
+def test_independent_dims_searches_mixed_and_large_groups_once_per_set(monkeypatch, moduli):
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(7)
+    sets = [rng.nonempty_mask(spec.order) | 1 for _ in range(20)]
+    populars = [sets, sets[::-1], [1] * len(sets)]
+    searched = []
+
+    def counted(P, cap):
+        searched.append(P.mask)
+        return dim_independent(P, cap)
+
+    monkeypatch.setattr(popular, "dim_independent", counted)
+    memo = {}
+    dims = popular.independent_dims(spec, populars, cap=spec.order, memo=memo)
+    assert sorted(searched) == sorted(set(sets) | {1})
+    assert dims.tolist() == [[dim_independent(GroupSet(spec, P), spec.order).value for P in row] for row in populars]
+    popular.independent_dims(spec, populars, cap=spec.order, memo=memo)  # a carried memo searches nothing again
+    assert len(searched) == len(set(sets) | {1})
+
+
+def _first_cap_error(spec, populars, cap):
+    """Reference: the message of the first search in (set, gamma) order that the cap refuses, or None."""
+    for row in zip(*populars):
+        for P in row:
+            try:
+                dim_independent(GroupSet(spec, P), cap=cap)
+            except ValueError as exc:
+                return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (2, 4), (2,) * 8], ids=lambda m: "x".join(map(str, m)))
+def test_independent_dims_refuses_the_first_set_over_the_cap(moduli):
+    # every cap from 0 to the largest size: the refused set and its size move with the cap
+    spec = GroupSpec(moduli)
+    rng = SplitMix64(11)
+    populars = [[rng.nonempty_mask(spec.order) for _ in range(12)] for _ in range(3)]
+    largest = max(P.bit_count() for row in populars for P in row)
+    for cap in range(largest + 1):
+        expected = _first_cap_error(spec, populars, cap)
+        assert (expected is None) == (cap == largest)
+        if expected is None:
+            popular.independent_dims(spec, populars, cap=cap)
+        else:
+            with pytest.raises(ValueError) as exc:
+                popular.independent_dims(spec, populars, cap=cap)
+            assert str(exc.value) == expected
 
 
 def test_popular_dim_bound_trivial_set():
