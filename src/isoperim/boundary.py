@@ -6,6 +6,9 @@ products of integer powers, and ``compare_powers`` decides it: from rigorous
 log2 bounds when the two sides are far apart, from the exact big integers
 near equality (and whenever the operands are small), so an equality is always
 decided exactly and a verdict near one never flips because of floating point.
+``compare_power_rows`` is its row form for sides whose bases and exponents are
+int64 arrays: one float screen for every row, with the same log2 values and
+margin, and ``compare_powers`` for the rows the screen leaves open.
 
 ``BOUNDARY_THEOREMS`` gives each bound one entry: a hypothesis check run once
 per generator sequence, the sides of its cleared inequality with its slack,
@@ -20,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import log2
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .groups import (
     GeneratorSeq,
@@ -80,6 +85,17 @@ def _log2_sum(terms: Powers) -> float | None:
     return total
 
 
+def _log2_screen(left, right):
+    """1 or -1 where the float log2 sums differ by more than the margin, 0 within it.
+
+    ``left`` and ``right`` are floats or float arrays; the margin is
+    2**-40 * (|l| + |r| + 1), and the sums are non-negative.
+    """
+    diff = left - right
+    margin = _LOG2_MARGIN * (left + right + 1.0)
+    return (diff > margin) * 1 - (diff < -margin) * 1
+
+
 def log2_sign(lhs: Powers, rhs: Powers) -> int | None:
     """The sign of prod lhs - prod rhs from float log2 sums, or None inside the margin.
 
@@ -95,13 +111,7 @@ def log2_sign(lhs: Powers, rhs: Powers) -> int | None:
     right = _log2_sum(rhs)
     if left is None or right is None:
         return (left is not None) - (right is not None)
-    diff = left - right
-    margin = _LOG2_MARGIN * (left + right + 1.0)
-    if diff > margin:
-        return 1
-    if diff < -margin:
-        return -1
-    return None
+    return _log2_screen(left, right) or None
 
 
 def compare_powers(lhs: Powers, rhs: Powers) -> int:
@@ -122,6 +132,43 @@ def compare_powers(lhs: Powers, rhs: Powers) -> int:
             return sign
     left, right = power_product(lhs), power_product(rhs)
     return (left > right) - (left < right)
+
+
+def compare_power_rows(lhs: tuple, rhs: tuple) -> np.ndarray:
+    """``compare_powers`` on every row, as an int64 array of signs.
+
+    Each base and exponent is an int or an int64 array, the arrays (at least
+    one) of one length, and row r takes entry r of each.  The float log2
+    sums are the ones ``log2_sign`` adds, term by term from the same
+    ``math.log2`` values (looked up by base), so its error argument holds
+    for every row.  Rows within the margin and rows with a zero base are
+    decided by ``compare_powers`` on their int terms, so every equality
+    comes from exact integers.
+    """
+    terms = (*lhs, *rhs)
+    rows = len(next(x for term in terms for x in term if isinstance(x, np.ndarray)))
+    distinct = sorted({b for base, _ in terms if isinstance(base, np.ndarray) for b in base.tolist()})
+    table = np.array([log2(b) if b else 0.0 for b in distinct])
+    zero = np.zeros(rows, dtype=bool)
+    sums = []
+    for side in (lhs, rhs):
+        total = 0.0
+        for base, exp in side:
+            if isinstance(base, np.ndarray):
+                total = total + exp * table[np.searchsorted(distinct, base)]
+            else:
+                total = total + exp * (log2(base) if base else 0.0)
+            zero |= base == 0
+        sums.append(total)
+    sign = np.broadcast_to(_log2_screen(*sums), rows).copy()
+    for r in np.flatnonzero((sign == 0) | zero).tolist():
+        sign[r] = compare_powers(_row_terms(lhs, r), _row_terms(rhs, r))
+    return sign
+
+
+def _row_terms(side: tuple, r: int) -> Powers:
+    """Row r of a side of ``compare_power_rows`` as int power terms."""
+    return tuple(tuple(x if isinstance(x, int) else int(x[r]) for x in term) for term in side)
 
 
 def cleared_verdict(lhs: Powers, rhs: Powers) -> Verdict:

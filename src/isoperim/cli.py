@@ -150,12 +150,26 @@ def _cmd_example(args: argparse.Namespace) -> int:
 def _cmd_enumerate_downsets(args: argparse.Namespace) -> int:
     box = tuple(int(b) for b in args.box.split(","))
     # the walk carries each downset as a chain of slices, so neither form builds a LatticeSet
-    if args.list:
-        listed = [[list(p) for p in sorted(_chain_points(chain))] for _, _, chain in downset_walk(box)]
-        payload: dict = {"box": list(box), "count": len(listed), "downsets": listed}
-    else:
-        payload = {"box": list(box), "count": sum(1 for _ in downset_walk(box))}
-    print(json_text(payload))
+    head = json_text({"box": list(box), "count": sum(1 for _ in downset_walk(box))})
+    if not args.list:
+        print(head)
+        return 0
+    # json_text of {..., "downsets": [...]}, written as the walk yields each downset; a downset's
+    # list sits at depth 2 and each point's row, rendered once, at depth 3
+    write = sys.stdout.write
+    write(head[:-2] + ',\n  "downsets": [')
+    rows: dict[tuple[int, ...], str] = {}
+    lead = "\n    "
+    for _, _, chain in downset_walk(box):
+        texts = []
+        for p in sorted(_chain_points(chain)):
+            text = rows.get(p)
+            if text is None:
+                text = rows[p] = json_text(list(p)).replace("\n", "\n      ")
+            texts.append(text)
+        write(lead + ("[\n      " + ",\n      ".join(texts) + "\n    ]" if texts else "[]"))
+        lead = ",\n    "
+    write("\n  ]\n}\n")
     return 0
 
 

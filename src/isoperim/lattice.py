@@ -5,6 +5,12 @@ estimate is that the average number of non-zero coordinates over a non-empty
 downset A is at most (1/2) log2 |A|; all log-flavoured inequalities here are
 cleared of their logarithms into comparisons of products of integer powers,
 which ``boundary.compare_powers`` decides exactly.
+
+Sampled sets of a box are decided in arrays: ``SplitMix64.nonempty_mask_words``
+draws their masks as rows of uint64 words, ``box_projections`` folds the
+cells of all rows at once, and the *_sides functions below take int64 arrays
+of sizes and projections as they take ints, so ``boundary.compare_power_rows``
+decides each bound of every row from the one place it is written.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .boundary import Powers, cleared_verdict, compare_powers
 
@@ -133,36 +141,34 @@ def _box_dims(box: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def box_projector(box: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
-    """|pi_i(A)| for each i, for sets A of the box prod_i [0, b_i] given as masks.
+def box_projections(box: Sequence[int], words: np.ndarray) -> np.ndarray:
+    """|pi_i(A)| of every set A of the box prod_i [0, b_i], as an (n, sets) int64 array.
 
-    Cell a has bit index sum_i a_i * stride_i, with stride_i = prod_{j>i} (b_j + 1),
-    which is lexicographic (product) order.  pi_i(A) is read off the plane
-    a_i = 0: ``popcount(plane_i & OR_c (mask >> c * stride_i))`` over
-    c = 0..b_i.  The planes and shifts are built once per box; the returned
-    function needs no per-point work.  ``projection_sizes`` is its oracle.
+    Row r of ``words`` (uint64, little-endian) is the mask of set r: cell a
+    has bit index sum_i a_i * stride_i, with stride_i = prod_{j>i} (b_j + 1),
+    which is lexicographic (product) order.  The masks are unpacked to a 0/1
+    array of cells by sets, so C order puts the sets last: viewed as
+    (before, b_i + 1, after * sets), pi_i(A) of every set is the OR of the
+    b_i + 1 contiguous slices along the middle axis, counted down the cells.
+    Cells times sets bytes are held at once, so callers pass rows in chunks.
+    ``projection_sizes`` is its oracle.
     """
     dims = _box_dims(box)
+    sets = len(words)
     cells = prod(b + 1 for b in dims)
-    folds = []
-    stride = cells
-    for b in dims:
-        period = stride
-        stride //= b + 1
-        # a_i = 0 in the first stride bits of every period of (b_i + 1) * stride bits
-        plane = ((1 << cells) - 1) // ((1 << period) - 1) * ((1 << stride) - 1)
-        folds.append((plane, tuple(c * stride for c in range(1, b + 1))))
-
-    def sizes(mask: int) -> tuple[int, ...]:
-        out = []
-        for plane, shifts in folds:
-            fold = mask
-            for shift in shifts:
-                fold |= mask >> shift
-            out.append((fold & plane).bit_count())
-        return tuple(out)
-
-    return sizes
+    octets = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8).T)
+    bits = np.unpackbits(octets, axis=0, count=cells, bitorder="little")
+    out = np.empty((len(dims), sets), dtype=np.int64)
+    before = 1
+    for i, b in enumerate(dims):
+        after = cells // (before * (b + 1))
+        slices = bits.reshape(before, b + 1, after * sets)
+        fold = slices[:, 0].copy()
+        for c in range(1, b + 1):
+            fold |= slices[:, c]
+        out[i] = fold.reshape(before * after, sets).sum(axis=0, dtype=np.int32)
+        before *= b + 1
+    return out
 
 
 def lw_plus_sides(dim: int, size: int, projections: Sequence[int]) -> tuple[Powers, Powers]:

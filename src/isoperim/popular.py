@@ -261,7 +261,8 @@ def independent_dims(
     duality as n - log_p |P^perp|: the characters x -> a.x mod p that vanish
     on all of P are counted with one mask test per a against the kernel of
     each.  Elsewhere each distinct mask is searched once, its value kept in
-    ``memo`` (a dict the caller may carry between calls).
+    ``memo`` (a dict the caller may carry between calls), and the batch is
+    read back through it in one pass.
     """
     words = np.array(populars, dtype=np.uint64) if spec.order <= 64 else None
     if words is not None:
@@ -286,14 +287,11 @@ def independent_dims(
             raise RuntimeError(f"an annihilator of a set in {spec!r} has an order that is not a power of {p}")
         return n - k
     memo = {} if memo is None else memo
-    dims = np.empty(sizes.shape, dtype=np.int64)
-    for s, row in enumerate(zip(*populars)):
-        for j, P in enumerate(row):
-            dim = memo.get(P)
-            if dim is None:
-                dim = memo[P] = dim_independent(GroupSet(spec, P), cap=cap).value
-            dims[j, s] = dim
-    return dims
+    flat = words.ravel().tolist() if words is not None else [P for row in populars for P in row]
+    for P in dict.fromkeys(flat):
+        if P not in memo:
+            memo[P] = dim_independent(GroupSet(spec, P), cap=cap).value
+    return np.fromiter(map(memo.__getitem__, flat), dtype=np.int64, count=len(flat)).reshape(sizes.shape)
 
 
 # -- popular-difference dimension bound: sides and verdict kernels ------------

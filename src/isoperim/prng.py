@@ -8,7 +8,9 @@ sampled families and hence the same violation witnesses.
 
 Word k of a draw is the mix of state + k * 0x9E3779B97F4A7C15, so a long
 mask is drawn as one numpy uint64 computation over all its states at once:
-the same stream, word for word, with the same final state.
+the same stream, word for word, with the same final state.  The same holds
+for many masks at once: ``nonempty_mask_words`` draws a whole batch of
+non-empty masks as rows of words.
 """
 
 from __future__ import annotations
@@ -69,22 +71,26 @@ class SplitMix64:
             filled += 64
         return mask & ((1 << nbits) - 1)
 
-    def _mask_words(self, words: int) -> int:
-        """The next ``words`` outputs as one little-endian int, computed in numpy uint64.
+    def _stream(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array, computed in numpy.
 
         uint64 array arithmetic wraps modulo 2**64 without a warning, which is
         the & _MASK64 of ``next_u64``.
         """
-        z = np.arange(1, words + 1, dtype=np.uint64)
+        z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self.state)
-        self.state = (self.state + words * _GOLDEN) & _MASK64
+        self.state = (self.state + count * _GOLDEN) & _MASK64
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)
         z *= np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
-        return int.from_bytes(z.astype("<u8", copy=False).tobytes(), "little")
+        return z
+
+    def _mask_words(self, words: int) -> int:
+        """The next ``words`` outputs as one little-endian int."""
+        return int.from_bytes(self._stream(words).astype("<u8", copy=False).tobytes(), "little")
 
     def nonempty_mask(self, nbits: int) -> int:
         """Like mask_bits, redrawing whole masks until a non-zero one appears."""
@@ -92,3 +98,25 @@ class SplitMix64:
             mask = self.mask_bits(nbits)
             if mask:
                 return mask
+
+    def nonempty_mask_words(self, nbits: int, count: int) -> np.ndarray:
+        """``count`` calls of ``nonempty_mask(nbits)`` as a (count, words) uint64 array, one row per mask.
+
+        Row r holds mask r's words little-endian, and the final state is the
+        one those calls leave.  The stream is cut into whole masks, the zero
+        ones dropped, and as many masks drawn again as were dropped: the
+        scalar redraw order, one numpy draw per round.
+        """
+        if nbits < 1:
+            raise ValueError("a non-empty mask needs at least one bit")
+        words = -(-nbits // 64)
+        top = np.uint64((1 << (nbits - 64 * (words - 1))) - 1)
+        out = np.empty((count, words), dtype=np.uint64)
+        filled = 0
+        while filled < count:
+            block = self._stream((count - filled) * words).reshape(-1, words)
+            block[:, -1] &= top
+            block = block[block.any(axis=1)]
+            out[filled : filled + len(block)] = block
+            filled += len(block)
+        return out

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from typing import Callable, Sequence
 
 import numpy as np
 
 from isoperim import CompressionContext, Element, GeneratorSeq, GroupSet, LatticeSet, is_downset, weight_stats
 from isoperim.boundary import BOUNDARY_THEOREMS, compare_powers
 from isoperim.groups import SpecMismatchError, _periodic, coords_span_order
+from isoperim.lattice import _box_dims
 from isoperim.popular import DEFAULT_DIM_CAP, DiffSpectrum, _admit_dissociated
 
 
@@ -138,3 +141,36 @@ def multiset_view(A: LatticeSet) -> MultisetFamilyView:
         mean_support=stats.mean_weight,
         bound_holds=stats.bound_holds,
     )
+
+
+def box_projector(box: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
+    """|pi_i(A)| for each i, for sets A of the box prod_i [0, b_i] given as masks.
+
+    Cell a has bit index sum_i a_i * stride_i, with stride_i = prod_{j>i} (b_j + 1),
+    which is lexicographic (product) order.  pi_i(A) is read off the plane
+    a_i = 0: ``popcount(plane_i & OR_c (mask >> c * stride_i))`` over
+    c = 0..b_i.  The planes and shifts are built once per box; the returned
+    function needs no per-point work.  ``projection_sizes`` is its oracle, and
+    it is one for ``box_projections``.
+    """
+    dims = _box_dims(box)
+    cells = prod(b + 1 for b in dims)
+    folds = []
+    stride = cells
+    for b in dims:
+        period = stride
+        stride //= b + 1
+        # a_i = 0 in the first stride bits of every period of (b_i + 1) * stride bits
+        plane = ((1 << cells) - 1) // ((1 << period) - 1) * ((1 << stride) - 1)
+        folds.append((plane, tuple(c * stride for c in range(1, b + 1))))
+
+    def sizes(mask: int) -> tuple[int, ...]:
+        out = []
+        for plane, shifts in folds:
+            fold = mask
+            for shift in shifts:
+                fold |= mask >> shift
+            out.append((fold & plane).bit_count())
+        return tuple(out)
+
+    return sizes

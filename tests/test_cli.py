@@ -229,6 +229,17 @@ def test_enumerate_downsets_lists_without_building_sets(capsys, monkeypatch, box
     assert out == {"box": list(box), "count": len(expected), "downsets": expected}
 
 
+@pytest.mark.parametrize("box", [(2, 2, 2), (3, 2, 2)])
+def test_enumerate_downsets_streams_the_held_payload_text(capsys, box):
+    from isoperim import enumerate_downsets
+    from isoperim.harness import json_text
+
+    listed = [A.to_obj()["points"] for A in enumerate_downsets(box)]
+    held = json_text({"box": list(box), "count": len(listed), "downsets": listed})
+    assert main(["enumerate-downsets", "--box", ",".join(map(str, box)), "--list"]) == 0
+    assert capsys.readouterr().out == held + "\n"
+
+
 def test_every_print_is_json_dumps_with_indent_2(capsys, tmp_path, c24_files):
     group, subset, gens = c24_files
     down = tmp_path / "down.json"

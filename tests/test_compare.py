@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +14,13 @@ from hypothesis import strategies as st
 from isoperim import boundary
 from isoperim.boundary import (
     BOUNDARY_THEOREMS,
+    compare_power_rows,
     compare_powers,
     log2_sign,
     power_product,
 )
 from isoperim.groups import GroupSpec
+from isoperim.lattice import loomis_whitney_sides, lw_plus_sides
 
 
 def exact_sign(lhs, rhs):
@@ -205,3 +210,92 @@ def test_subcube_equalities_take_the_exact_path(monkeypatch, check, n):
         v = getattr(boundary, theorem.kernel).__wrapped__(*params, size, b)
         assert v == boundary.Verdict(True, False, True)
         assert built == [lhs, rhs]
+
+
+# -- the row form -------------------------------------------------------------------
+
+
+def row_of(side, r):
+    return tuple((b if isinstance(b, int) else int(b[r]), e if isinstance(e, int) else int(e[r])) for b, e in side)
+
+
+def assert_rows_match(lhs, rhs):
+    """compare_power_rows against compare_powers on each row; returns the signs."""
+    signs = compare_power_rows(lhs, rhs)
+    rows = len(signs)
+    assert signs.dtype == np.int64
+    assert signs.tolist() == [compare_powers(row_of(lhs, r), row_of(rhs, r)) for r in range(rows)]
+    return signs
+
+
+def as_rows(cases):
+    """Scalar (lhs, rhs) cases of one shape as sides of int64 arrays, row r being case r."""
+    lhs, rhs = cases[0]
+
+    def side(k, terms):
+        column = lambda t, j: np.array([case[k][t][j] for case in cases], dtype=np.int64)
+        return tuple((column(t, 0), column(t, 1)) for t in range(len(terms)))
+
+    return side(0, lhs), side(1, rhs)
+
+
+def mixed_cases():
+    """2**a * 3**b against 6**c, near-equal powers inside the margin, zero bases and exponents, random rows."""
+    cases = []
+    for a, b, c in product([0, 1, 7, 2000, 3001], repeat=3):
+        cases.append((((2, a), (3, b)), ((6, c),)))
+    big = (1 << 60) + 1
+    for y in (1, 70, 100, 1000):
+        # within 2**-40 of each other relative to their logs, past 4,096 bits from y = 70
+        cases.append((((big, y), (1, 0)), ((2, 60 * y),)))
+        cases.append((((2, 60 * y), (1, 5)), ((big, y),)))
+        cases.append((((2, 60 * y), (big, 0)), ((4, 30 * y),)))
+    cases += [
+        (((0, 0), (7, 3)), ((343, 1),)),
+        (((0, 2), (7, 3)), ((1, 0),)),
+        (((5, 0), (0, 0)), ((1, 5),)),
+        (((0, 3), (2, 9000)), ((0, 1),)),
+        (((3, 5000), (2, 1)), ((0, 0),)),
+    ]
+    rng = random.Random(7)
+    for _ in range(300):
+        cases.append((((rng.randint(1, 1000), rng.randint(0, 3000)), (rng.randint(1, 50), rng.randint(0, 3000))),
+                      ((rng.randint(1, 1000), rng.randint(0, 3000)),)))
+    return cases
+
+
+def test_row_form_matches_compare_powers_on_every_row():
+    cases = mixed_cases()
+    signs = assert_rows_match(*as_rows(cases))
+    assert signs.tolist() == [exact_sign(*case) for case in cases]
+    assert {-1, 0, 1} <= set(signs.tolist())
+
+
+def test_row_form_takes_int_terms_and_the_lattice_sides():
+    # the cube {0,1}^n meets lwplus and Loomis-Whitney with equality; one point fewer keeps its projections
+    for n in range(1, 13):
+        sizes = np.array([1 << n, (1 << n) - 1, 1], dtype=np.int64)
+        proj = np.array([[1 << n - 1, 1 << n - 1, 1]] * n, dtype=np.int64)
+        lw_plus = assert_rows_match(*lw_plus_sides(n, sizes, proj))
+        loomis_whitney = assert_rows_match(*loomis_whitney_sides(sizes, proj))
+        assert lw_plus[0] == loomis_whitney[0] == 0
+    assert_rows_match(((2, np.array([10**6, 1], dtype=np.int64)),), ((3, np.array([10**6, 1], dtype=np.int64)),))
+
+
+def test_row_form_rows_within_the_margin_take_the_exact_path(monkeypatch):
+    built = []
+    real = boundary.compare_powers
+    monkeypatch.setattr(boundary, "compare_powers", lambda lhs, rhs: built.append((lhs, rhs)) or real(lhs, rhs))
+    big = (1 << 60) + 1
+    lhs = ((np.array([big, 3, 2], dtype=np.int64), np.array([100, 10**6, 6000], dtype=np.int64)),)
+    rhs = ((2, 6000),)
+    assert compare_power_rows(lhs, rhs).tolist() == [1, 1, 0]
+    assert built == [(((big, 100),), ((2, 6000),)), (((2, 6000),), ((2, 6000),))]
+
+
+def test_row_form_perturbed_logs_change_no_result(monkeypatch):
+    lhs, rhs = as_rows(mixed_cases())
+    before = compare_power_rows(lhs, rhs).tolist()
+    for scale in (1 + 2.0**-44, 1 - 2.0**-44):
+        monkeypatch.setattr(boundary, "log2", lambda x, scale=scale: math.log2(x) * scale)
+        assert compare_power_rows(lhs, rhs).tolist() == before, scale

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
+import numpy as np
 import pytest
 
 from isoperim import (
@@ -21,9 +23,9 @@ from isoperim import (
     weight,
     weight_stats,
 )
-from isoperim.lattice import box_projector
+from isoperim.lattice import box_projections
 from isoperim.prng import SplitMix64
-from oracles import multiset_view, split_inequality_holds
+from oracles import box_projector, multiset_view, split_inequality_holds
 
 
 def cube(n):
@@ -138,9 +140,47 @@ def test_box_projector_matches_projection_sizes_on_seeded_masks(box):
                 assert sizes(m) == projection_sizes(set_of_mask(box, cells, m)), (box, m)
 
 
+def mask_rows(masks, cells):
+    """Int masks as the (sets, words) uint64 rows of ``SplitMix64.nonempty_mask_words``."""
+    words = -(-cells // 64)
+    return np.array([[m >> 64 * k & (1 << 64) - 1 for k in range(words)] for m in masks], dtype=np.uint64).reshape(
+        len(masks), words
+    )
+
+
+def assert_box_projections_match(box, masks):
+    cells = list(product(*[range(b + 1) for b in box]))
+    sizes = box_projector(box)
+    got = box_projections(box, mask_rows(masks, len(cells)))
+    assert got.shape == (len(box), len(masks)) and got.dtype == np.int64
+    for r, m in enumerate(masks):
+        want = projection_sizes(set_of_mask(box, cells, m))
+        assert tuple(got[:, r].tolist()) == want == sizes(m), (box, m)
+
+
+@pytest.mark.parametrize("box", [(1,), (2,), (1, 1), (2, 1), (1, 1, 1), (1, 1, 1, 1), (2, 2)])
+def test_box_projections_match_the_oracles_on_every_mask(box):
+    cells = prod(b + 1 for b in box)
+    assert_box_projections_match(box, list(range(1, 1 << cells)))
+
+
+@pytest.mark.parametrize("box", [(4, 4, 4), (3, 3, 3, 3), (1,) * 7, (0, 3), (63,), (64,)])
+def test_box_projections_match_the_oracles_on_seeded_masks(box):
+    cells = prod(b + 1 for b in box)
+    rng = SplitMix64(cells)
+    masks = [(1 << cells) - 1, 1, 1 << cells - 1]
+    for _ in range(100):
+        # dense, uniform and sparse masks
+        mask = rng.mask_bits(cells)
+        masks += [m for m in (mask | rng.mask_bits(cells), mask, mask & rng.mask_bits(cells)) if m]
+    assert_box_projections_match(box, masks)
+    assert box_projections(box, mask_rows([], cells)).shape == (len(box), 0)
+
+
 def test_box_projector_rejects_bad_boxes():
     # one check serves the projector and the downset enumeration, with one message per fault
-    for reader in (box_projector, lambda box: next(enumerate_downsets(box))):
+    empty = np.zeros((0, 1), dtype=np.uint64)
+    for reader in (box_projector, lambda box: box_projections(box, empty), lambda box: next(enumerate_downsets(box))):
         with pytest.raises(ValueError, match="^the box needs at least one axis$"):
             reader(())
         with pytest.raises(ValueError, match="^box bounds must be non-negative$"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
 from isoperim import prng
@@ -84,3 +85,32 @@ def test_empty_widths_draw_nothing():
     rng = SplitMix64(9)
     assert rng.mask_bits(0) == 0
     assert rng.state == 9
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_nonempty_mask_words_match_repeated_nonempty_masks(strict, seed):
+    # at 1-3 bits zero masks are frequent, so the redraw rounds run many times
+    for nbits in (1, 2, 3, 63, 64, 65, 16 * 64, 16 * 64 + 1):
+        words = -(-nbits // 64)
+        for count in (0, 1, 2, 7, 40):
+            fast, slow = SplitMix64(seed), SplitMix64(seed)
+            rows = fast.nonempty_mask_words(nbits, count)
+            assert rows.shape == (count, words) and rows.dtype == np.uint64
+            for row in rows.tolist():
+                assert sum(w << 64 * k for k, w in enumerate(row)) == slow.nonempty_mask(nbits), (nbits, count)
+            assert fast.state == slow.state, (nbits, count)
+
+
+def test_nonempty_mask_words_carry_the_stream_across_calls():
+    # chunks drawn one after another are the rows of one draw, with its final state
+    one = SplitMix64(11)
+    whole = one.nonempty_mask_words(3, 100)
+    rng = SplitMix64(11)
+    parts = [rng.nonempty_mask_words(3, n) for n in (1, 0, 30, 69)]
+    assert (np.concatenate(parts) == whole).all()
+    assert rng.state == one.state
+
+
+def test_nonempty_mask_words_need_a_bit():
+    with pytest.raises(ValueError, match="at least one bit"):
+        SplitMix64(1).nonempty_mask_words(0, 3)
